@@ -178,4 +178,8 @@ func TestGateCatchesWrongHits(t *testing.T) {
 	if !strings.Contains(out.String(), `"correct":false`) {
 		t.Errorf("result line does not report the failure:\n%s", out.String())
 	}
+	// A failed run still reports what it measured.
+	if !strings.Contains(out.String(), `"answered_pct":{"value":100,`) {
+		t.Errorf("failed run does not report answered_pct:\n%s", out.String())
+	}
 }

@@ -53,6 +53,15 @@ func cpuModel() string {
 	return runtime.GOARCH
 }
 
+// resetPeakRSS sets the process's resident-set high-water mark back to its
+// current resident set.
+func resetPeakRSS() error {
+	if err := os.WriteFile("/proc/self/clear_refs", []byte("5"), 0); err != nil {
+		return fmt.Errorf("resetting the peak RSS: %w", err)
+	}
+	return nil
+}
+
 // peakRSSMB is the process's resident-set high-water mark (VmHWM) in MB.
 func peakRSSMB() (float64, error) {
 	f, err := os.Open("/proc/self/status")

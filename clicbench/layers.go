@@ -122,7 +122,7 @@ func loadPrefix(path string, n int) (*trace.Trace, error) {
 // traced passes.
 func passMetrics(passes []*passResult, m metricSet) {
 	var (
-		answered, batches, outBytes    uint64
+		answered, outBytes             uint64
 		submitNs, waitNs               int64
 		rtts, rotRTTs                  []int64
 		wireBytes, srvBatches, flushes float64
@@ -137,13 +137,14 @@ func passMetrics(passes []*passResult, m metricSet) {
 	for _, p := range passes {
 		for _, c := range p.clients {
 			answered += c.answered
-			batches += c.batches
 			outBytes += c.outBytes
-			submitNs += c.submitNs
-			waitNs += c.waitNs
 			rtts = append(rtts, c.rtts...)
-			rotRTTs = append(rotRTTs, c.rotRTTs...)
 			for _, s := range c.spans {
+				submitNs += s.submit.dur()
+				waitNs += s.wait.dur()
+				if s.rotated {
+					rotRTTs = append(rotRTTs, s.rtt)
+				}
 				children := s.children()
 				self[0] = append(self[0], selfTime(s.root, children))
 				for i, iv := range children {
@@ -178,12 +179,13 @@ func passMetrics(passes []*passResult, m metricSet) {
 	}
 	n := float64(len(passes))
 	req := float64(answered)
+	batches := float64(len(rtts))
 	svcP50 := service.Quantile(0.50) / 1e3
 
 	m.set("netclient.submit_ns_per_req", ratio(float64(submitNs), req))
-	m.set("netclient.window_wait_ns_per_batch", ratio(float64(waitNs), float64(batches)))
-	m.set("netclient.batch_size_mean", ratio(req, float64(batches)))
-	m.set("netclient.batches", float64(batches)/n)
+	m.set("netclient.window_wait_ns_per_batch", ratio(float64(waitNs), batches))
+	m.set("netclient.batch_size_mean", ratio(req, batches))
+	m.set("netclient.batches", batches/n)
 	m.set("wire.out_bytes_per_req", ratio(float64(outBytes), req))
 	m.set("wire.in_bytes_per_req", ratio(wireBytes-float64(outBytes), req))
 	m.set("server.batch_service_p50_us", svcP50)
@@ -196,7 +198,7 @@ func passMetrics(passes []*passResult, m metricSet) {
 	m.set("core.rotation_batch_p50_us", float64(quantile(rotRTTs, 0.50))/1e3)
 	m.set("clicstats.tracked_hint_sets", float64(tracked)/n)
 	m.set("cluster.node_req_skew", nodeSkew/n)
-	m.set("cluster.sub_batches_per_batch", ratio(srvBatches, float64(batches)))
+	m.set("cluster.sub_batches_per_batch", ratio(srvBatches, batches))
 	m.set("cluster.summaries_absorbed", absorbed/n)
 	m.set("cluster.merge_rounds", rounds/n)
 	m.set("go.allocs_per_req", ratio(float64(allocs), req))

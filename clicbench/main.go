@@ -20,6 +20,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/netclient"
 )
 
 func main() {
@@ -104,8 +106,7 @@ func runOne(w *workloadDef, o options, stdout, stderr io.Writer) int {
 		Cache:  fmt.Sprintf("%+v", w.cacheConfig()),
 		Server: map[string]any{
 			"nodes": max(w.nodes, 1), "shards_per_node": w.shards, "cache_pages": w.cache,
-			"depth": w.pipelineDepth(), "batch": w.batch, "adaptive_batches": w.batch == 0,
-			"sync": w.sync, "merging": w.nodes > 0,
+			"depth": netclient.DefaultDepth, "adaptive_batches": true, "merging": w.nodes > 0,
 		},
 		Passes: res.passes, Samples: res.samples, Host: fingerprint(), StealPct: res.stealPct,
 		Problems: res.problems,
@@ -123,20 +124,21 @@ func runOne(w *workloadDef, o options, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "spans written to %s\n", res.spansPath)
 	}
 
-	metrics := map[string]jsonMetric{}
-	if len(res.problems) == 0 {
-		if metrics, err = res.metrics.render(defs); err != nil {
-			fmt.Fprintf(stderr, "clicbench: %s: %v\n", w.name, err)
-			return 1
-		}
-		names := make([]string, 0, len(metrics))
-		for n := range metrics {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(stdout, "%-12s %-36s %14.4f %s\n", w.name, n, metrics[n].Value, metrics[n].Unit)
-		}
+	// A run that failed the gate still reports what it measured (so
+	// answered_pct shows what went unanswered), leaving out what it could
+	// not measure.
+	metrics, err := res.metrics.render(defs, len(res.problems) > 0)
+	if err != nil {
+		fmt.Fprintf(stderr, "clicbench: %s: %v\n", w.name, err)
+		return 1
+	}
+	names := make([]string, 0, len(metrics))
+	for n := range metrics {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintf(stdout, "%-12s %-36s %14.4f %s\n", w.name, n, metrics[n].Value, metrics[n].Unit)
 	}
 	line, err := json.Marshal(result{
 		Correct:   len(res.problems) == 0,

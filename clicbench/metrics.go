@@ -79,16 +79,20 @@ type jsonMetric struct {
 	Unit  string  `json:"unit"`
 }
 
-// render checks that every declared metric was measured and is finite and
-// returns them keyed by name with their units.
-func (m metricSet) render(defs []metricDef) (map[string]jsonMetric, error) {
+// render returns the declared metrics keyed by name with their units. It
+// fails when one was not measured or is not finite, unless partial is
+// set, when it leaves such metrics out.
+func (m metricSet) render(defs []metricDef, partial bool) (map[string]jsonMetric, error) {
 	out := make(map[string]jsonMetric, len(defs))
 	for _, d := range defs {
 		v, ok := m[d.name]
-		if !ok {
+		finite := !math.IsNaN(v) && !math.IsInf(v, 0)
+		switch {
+		case partial && (!ok || !finite):
+			continue
+		case !ok:
 			return nil, fmt.Errorf("metric %s was not measured", d.name)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		case !finite:
 			return nil, fmt.Errorf("metric %s is not finite (%v)", d.name, v)
 		}
 		out[d.name] = jsonMetric{Value: v, Unit: d.unit}

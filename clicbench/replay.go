@@ -14,26 +14,25 @@ import (
 	"repro/internal/trace"
 )
 
-// batch is one request batch on its way from the dispatcher through a
-// client's pipeline, with the timestamps of the spans it passes through
-// (nanoseconds since the pass epoch).
-type batch struct {
-	id   uint64
+// job is one request batch on its way from the dispatcher to a client's
+// worker, with the time the dispatcher spent filling it from the scan
+// (nanoseconds since the pass epoch; traced passes only).
+type job struct {
 	reqs []trace.Request
-
-	scan   interval // dispatcher filling the batch from the scan
-	submit interval // Submit encoding and writing the batch
-	wait   interval // blocked in Submit/Drain until its results arrived
-	handle interval // the result handler
-	win0   int      // completed windows when submitted (traced)
+	scan interval
 }
 
-// spanRecord is one batch's spans, kept in memory until the run ends: the
-// batch span (root) and its children, all sharing the batch's ID.
+// spanRecord is one traced batch's spans, kept in memory until the run
+// ends: the batch span (root) and its children, all sharing the batch's
+// ID, with the batch's round trip and whether a statistics window
+// completed while it was in flight.
 type spanRecord struct {
 	id, client, n              int
 	root                       interval
 	scan, submit, wait, handle interval
+	win0                       int // completed windows when submitted
+	rtt                        int64
+	rotated                    bool
 }
 
 // spanNames are a batch span's children, in spanRecord.children order.
@@ -44,57 +43,56 @@ func (s *spanRecord) children() []interval {
 	return []interval{s.scan, s.submit, s.wait, s.handle}
 }
 
-// clientRun is one client's replay state. Everything but size is touched
-// only by the client's worker goroutine (the pipeline runs the result
-// handler inside Submit and Drain).
+// clientRun is one client's replay state, shaped like a
+// netclient.ReplayIterator worker: request buffers cycle from the
+// dispatcher (ch) to the worker, which returns each one (free) once Submit
+// has encoded it. Everything but pending and size is touched only by the
+// worker goroutine (the pipeline runs the result handler inside Submit and
+// Drain); pending is the dispatcher's.
 type clientRun struct {
-	name   string
-	sess   *session
-	ch     chan *batch
-	free   chan *batch
-	sizer  *netclient.BatchSizer
-	size   atomic.Int64 // current batch size, read by the dispatcher
-	traced bool
-	tg     *target
-	epoch  time.Time
+	name    string
+	idx     int
+	sess    *session
+	ch      chan job
+	free    chan []trace.Request
+	pending job
+	sizer   *netclient.BatchSizer
+	size    atomic.Int64 // current batch size, read by the dispatcher
+	epoch   time.Time
+	err     error
 
-	mark       int64 // when the current blocking call (or its last handler) began waiting
-	first      int64 // first Submit start
-	last       int64 // last handler end
-	answered   uint64
-	reads      uint64
-	hits       uint64
-	batches    uint64
-	rtts       []int64
-	spans      []spanRecord
-	outBytes   uint64     // bytes sent toward the servers (traced)
-	sizes      []int      // submitted batch sizes, in order (traced)
-	announces  [][]string // hint keys announced before each batch (traced)
-	rotRTTs    []int64    // RTTs of batches during which a window rotated
-	submitNs   int64
-	waitNs     int64
-	err        error
-	pending    *batch
-	nextBatch  uint64
-	clientIdx  int
-	syncCaller bool
+	first, last           int64 // first Submit start; end of the final Drain
+	answered, reads, hits uint64
+	rtts                  []int64
+
+	// Traced passes only.
+	traced    bool
+	tg        *target
+	mark      int64 // when the current blocking call (or its last handler) began waiting
+	spans     []spanRecord
+	done      int        // spans whose results have arrived
+	outBytes  uint64     // bytes sent toward the servers
+	sizes     []int      // submitted batch sizes, in order
+	announces [][]string // hint keys announced before each batch
 }
 
-// clientQueue is the dispatcher → worker channel depth: a few batches of
-// read-ahead so scanning overlaps the worker's Submit calls.
-const clientQueue = 4
-
-// batchPool bounds the recycled batches per client: the pipeline depth
-// plus the queue plus the one being filled, with room to spare.
-const batchPool = 64
+// clientQueue is the dispatcher → worker channel depth and freeBuffers
+// the recycled request buffers per client, as in
+// netclient.ReplayIterator.
+const (
+	clientQueue = 4
+	freeBuffers = 8
+)
 
 func (c *clientRun) now() int64 { return int64(time.Since(c.epoch)) }
 
-// handle is the pipeline's result handler for this client.
-func (c *clientRun) handle(tag any, isRead, hits []bool, rttNs int64) error {
-	b := tag.(*batch)
-	h0 := c.now()
-	b.wait = interval{c.mark, h0}
+// handle is the pipeline's result handler for this client. Untraced, it
+// does what ReplayIterator's handler does plus keeping the round trip.
+func (c *clientRun) handle(isRead, hits []bool, rttNs int64) error {
+	var h0 int64
+	if c.traced {
+		h0 = c.now()
+	}
 	c.answered += uint64(len(isRead))
 	for i, rd := range isRead {
 		if rd {
@@ -104,42 +102,42 @@ func (c *clientRun) handle(tag any, isRead, hits []bool, rttNs int64) error {
 			}
 		}
 	}
-	c.batches++
 	c.rtts = append(c.rtts, rttNs)
 	c.sizer.Observe(rttNs, len(isRead))
 	c.size.Store(int64(c.sizer.Current()))
-	if c.traced && c.tg.windows() != b.win0 {
-		c.rotRTTs = append(c.rotRTTs, rttNs)
-	}
-	h1 := c.now()
-	b.handle = interval{h0, h1}
-	c.mark = h1
-	c.last = h1
-	c.submitNs += b.submit.dur()
-	c.waitNs += b.wait.dur()
 	if c.traced {
-		c.spans = append(c.spans, spanRecord{
-			id: int(b.id), client: c.clientIdx, n: len(isRead),
-			scan: b.scan, submit: b.submit, wait: b.wait, handle: b.handle,
-			root: interval{b.scan.start, h1},
-		})
-	}
-	select {
-	case c.free <- b:
-	default:
+		c.closeSpans(h0, rttNs)
 	}
 	return nil
+}
+
+// closeSpans completes the spans of the oldest batch in flight (results
+// arrive in submission order); its handler began at h0.
+func (c *clientRun) closeSpans(h0, rttNs int64) {
+	s := &c.spans[c.done]
+	c.done++
+	s.wait = interval{c.mark, h0}
+	s.rtt = rttNs
+	s.rotated = c.tg.windows() != s.win0
+	h1 := c.now()
+	s.handle = interval{h0, h1}
+	s.root = interval{s.scan.start, h1}
+	c.mark = h1
 }
 
 // work is the client's worker goroutine: submit each dispatched batch,
 // announcing newly seen hint keys first, then drain the pipeline.
 func (c *clientRun) work(log *keyLog, failed *atomic.Bool) {
-	for b := range c.ch {
-		if c.err != nil {
-			continue // keep draining so the dispatcher never blocks
+	for j := range c.ch {
+		// On failure keep draining so the dispatcher never blocks.
+		if c.err == nil {
+			if c.err = c.send(log, j); c.err != nil {
+				failed.Store(true)
+			}
 		}
-		if c.err = c.send(log, b); c.err != nil {
-			failed.Store(true)
+		select {
+		case c.free <- j.reqs[:0]:
+		default:
 		}
 	}
 	if c.err == nil {
@@ -148,36 +146,48 @@ func (c *clientRun) work(log *keyLog, failed *atomic.Bool) {
 			failed.Store(true)
 		}
 	}
+	c.last = c.now()
 }
 
-func (c *clientRun) send(log *keyLog, b *batch) error {
+func (c *clientRun) send(log *keyLog, j job) error {
 	fresh := log.since(c.sess.announced())
 	if len(fresh) > 0 {
 		if err := c.sess.announce(fresh); err != nil {
 			return err
 		}
 	}
-	if c.traced {
-		c.announces = append(c.announces, fresh)
-		c.sizes = append(c.sizes, len(b.reqs))
-		b.win0 = c.tg.windows()
-	}
-	s0 := c.now()
 	if c.first == 0 {
-		c.first = s0
+		c.first = c.now()
 	}
-	c.mark = s0
-	if err := c.sess.submit(b.reqs, b); err != nil {
+	if !c.traced {
+		return c.sess.submit(j.reqs)
+	}
+	c.announces = append(c.announces, fresh)
+	c.sizes = append(c.sizes, len(j.reqs))
+	i := len(c.spans)
+	c.spans = append(c.spans, spanRecord{id: i, client: c.idx, n: len(j.reqs), scan: j.scan, win0: c.tg.windows()})
+	c.mark = c.now()
+	if err := c.sess.submit(j.reqs); err != nil {
 		return err
 	}
 	// A handler that ran inside Submit (completing an older batch) moved
 	// mark to its end: what follows it is this batch's encode and write.
-	b.submit = interval{c.mark, c.now()}
-	if c.syncCaller {
-		c.mark = b.submit.end
-		return c.sess.drain()
-	}
+	c.spans[i].submit = interval{c.mark, c.now()}
 	return nil
+}
+
+// hand passes the pending batch to the worker and starts the next one in
+// a recycled buffer. It runs on the dispatcher.
+func (c *clientRun) hand() {
+	if c.traced {
+		c.pending.scan.end = c.now()
+	}
+	c.ch <- c.pending
+	c.pending = job{}
+	select {
+	case c.pending.reqs = <-c.free:
+	default:
+	}
 }
 
 // keyLog is the append-only list of hint keys the scan has discovered,
@@ -278,14 +288,13 @@ func runPass(w *workloadDef, seed int64, path string, traced, generate bool) (p 
 
 	for i, name := range sc.Clients() {
 		c := &clientRun{
-			name: name, clientIdx: i, tg: tg, epoch: epoch, traced: traced,
-			ch:         make(chan *batch, clientQueue),
-			free:       make(chan *batch, batchPool),
-			sizer:      netclient.NewBatchSizer(w.batch),
-			syncCaller: w.sync,
+			name: name, idx: i, tg: tg, epoch: epoch, traced: traced,
+			ch:    make(chan job, clientQueue),
+			free:  make(chan []trace.Request, freeBuffers),
+			sizer: netclient.NewBatchSizer(0),
 		}
 		c.size.Store(int64(c.sizer.Current()))
-		if c.sess, err = tg.dial(name, w.pipelineDepth(), c.handle); err != nil {
+		if c.sess, err = tg.dial(name, netclient.DefaultDepth, c.handle); err != nil {
 			return nil, fmt.Errorf("connecting client %s: %w", name, err)
 		}
 		defer c.sess.close()
@@ -310,11 +319,6 @@ func runPass(w *workloadDef, seed int64, path string, traced, generate bool) (p 
 	if p.after, err = tg.read(); err != nil {
 		return nil, err
 	}
-	if traced {
-		if err := p.countOutbound(path, tg); err != nil {
-			return nil, err
-		}
-	}
 	first, last := int64(-1), int64(0)
 	for _, c := range p.clients {
 		if c.err != nil {
@@ -329,10 +333,15 @@ func runPass(w *workloadDef, seed int64, path string, traced, generate bool) (p 
 	}
 	p.setupNs = first
 	p.timedNs = last - first
+	if traced {
+		if err := p.countOutbound(path, tg); err != nil {
+			return nil, err
+		}
+	}
 	// Keep the measurements only: the pass's servers, connections and
 	// batch buffers must not outlive it.
 	for _, c := range p.clients {
-		c.tg, c.sess, c.ch, c.free, c.sizer = nil, nil, nil, nil, nil
+		c.tg, c.sess, c.ch, c.free, c.sizer, c.pending = nil, nil, nil, nil, nil, job{}
 	}
 	return p, nil
 }
@@ -366,28 +375,19 @@ func (p *passResult) dispatch(sc *trace.Scanner) error {
 			break
 		}
 		c := p.clients[r.Client]
-		b := c.pending
-		if b == nil {
-			b = c.newBatch()
-			c.pending = b
+		if c.traced && len(c.pending.reqs) == 0 {
+			c.pending.scan.start = c.now()
 		}
-		if len(b.reqs) == 0 {
-			b.scan.start = c.now()
-		}
-		b.reqs = append(b.reqs, r)
+		c.pending.reqs = append(c.pending.reqs, r)
 		p.attempted++
-		if len(b.reqs) >= int(c.size.Load()) {
-			b.scan.end = c.now()
-			c.ch <- b
-			c.pending = nil
+		if len(c.pending.reqs) >= int(c.size.Load()) {
+			c.hand()
 		}
 	}
 	for _, c := range p.clients {
-		if b := c.pending; b != nil && len(b.reqs) > 0 {
-			b.scan.end = c.now()
-			c.ch <- b
+		if len(c.pending.reqs) > 0 {
+			c.hand()
 		}
-		c.pending = nil
 		close(c.ch)
 	}
 	wg.Wait()
@@ -462,20 +462,6 @@ func generateStream(w *workloadDef, seed int64, path string) error {
 		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	return nil
-}
-
-// newBatch takes a recycled batch or makes one. It runs on the dispatcher.
-func (c *clientRun) newBatch() *batch {
-	var b *batch
-	select {
-	case b = <-c.free:
-		b.reqs = b.reqs[:0]
-	default:
-		b = &batch{}
-	}
-	b.id = c.nextBatch
-	c.nextBatch++
-	return b
 }
 
 // streamPath is where a run keeps its generated stream.

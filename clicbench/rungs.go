@@ -40,13 +40,13 @@ func rungAccess(w *workloadDef, t *trace.Trace) (time.Duration, error) {
 }
 
 // rungOwner is the owner-engine front driven in-process by one producer,
-// in batches of the workload's size.
+// in batches of wire.DefaultBatch requests.
 func rungOwner(w *workloadDef, t *trace.Trace) (time.Duration, error) {
 	s := core.NewSharded(w.cacheConfig(), w.shards)
 	defer s.Close()
 	p := s.NewProducer()
 	defer p.Close()
-	n := w.batchSize()
+	n := wire.DefaultBatch
 	hits := make([]bool, n)
 	start := time.Now()
 	for reqs := t.Reqs; len(reqs) > 0; {
@@ -65,7 +65,7 @@ func rungCodec(w *workloadDef, t *trace.Trace) (time.Duration, error) {
 	defer s.Close()
 	p := s.NewProducer()
 	defer p.Close()
-	n := w.batchSize()
+	n := wire.DefaultBatch
 	hits := make([]bool, n)
 	var (
 		enc, out []byte

@@ -23,6 +23,26 @@ func quantile(samples []int64, q float64) int64 {
 	return samples[rank-1]
 }
 
+// windowQuantiles cuts samples, in the order they were taken, into
+// consecutive windows of size samples and returns the exact q-quantile of
+// each full window; a shorter remainder is dropped. Fewer than size
+// samples make one window of them all. samples is left unchanged.
+func windowQuantiles(samples []int64, size int, q float64) []int64 {
+	if len(samples) == 0 {
+		return nil
+	}
+	if len(samples) < size {
+		return []int64{quantile(append([]int64(nil), samples...), q)}
+	}
+	out := make([]int64, 0, len(samples)/size)
+	buf := make([]int64, size)
+	for i := 0; i+size <= len(samples); i += size {
+		copy(buf, samples[i:i+size])
+		out = append(out, quantile(buf, q))
+	}
+	return out
+}
+
 // median returns the median of the values (the mean of the middle two for
 // an even count), leaving the input unchanged; 0 for an empty slice.
 func median(values []float64) float64 {

@@ -37,6 +37,29 @@ func TestQuantileExact(t *testing.T) {
 	}
 }
 
+func TestWindowQuantiles(t *testing.T) {
+	// 1..250 in order: windows of 100 are 1..100 and 101..200, whose p99s
+	// are 99 and 199; the remainder 201..250 is dropped.
+	var s []int64
+	for i := int64(1); i <= 250; i++ {
+		s = append(s, i)
+	}
+	got := windowQuantiles(s, 100, 0.99)
+	if len(got) != 2 || got[0] != 99 || got[1] != 199 {
+		t.Errorf("windowQuantiles(1..250, 100, 0.99) = %v, want [99 199]", got)
+	}
+	if s[0] != 1 || s[249] != 250 {
+		t.Fatalf("windowQuantiles reordered its input")
+	}
+	// Fewer samples than one window make a single window of them all.
+	if got := windowQuantiles([]int64{3, 9, 1}, 100, 0.99); len(got) != 1 || got[0] != 9 {
+		t.Errorf("windowQuantiles of 3 samples = %v, want [9]", got)
+	}
+	if got := windowQuantiles(nil, 100, 0.99); got != nil {
+		t.Errorf("windowQuantiles of no samples = %v, want nil", got)
+	}
+}
+
 func TestMedian(t *testing.T) {
 	for _, tc := range []struct {
 		in   []float64

@@ -99,10 +99,9 @@ func (t *target) windows() int {
 	return n
 }
 
-// resultHandler receives one completed batch: the tag given to submit, the
-// read flags and hit verdicts in submission order, and the round trip from
-// Submit to result.
-type resultHandler func(tag any, isRead, hits []bool, rttNs int64) error
+// resultHandler receives one completed batch, in submission order: its
+// read flags and hit verdicts, and the round trip from Submit to result.
+type resultHandler func(isRead, hits []bool, rttNs int64) error
 
 // session is one client's connection to the target: a pipelined
 // netclient connection, or a router with one connection per node.
@@ -127,8 +126,8 @@ func (t *target) dial(name string, depth int, h resultHandler) (*session, error)
 			return nil, err
 		}
 		s.conn = conn
-		s.pl = conn.Pipeline(depth, func(tag any, isRead []bool, res wire.Results, rttNs int64) error {
-			return h(tag, isRead, res.Hits, rttNs)
+		s.pl = conn.Pipeline(depth, func(_ any, isRead []bool, res wire.Results, rttNs int64) error {
+			return h(isRead, res.Hits, rttNs)
 		})
 		return s, nil
 	}
@@ -141,8 +140,8 @@ func (t *target) dial(name string, depth int, h resultHandler) (*session, error)
 		return nil, err
 	}
 	s.router = r
-	s.rpl = r.Pipeline(depth, func(tag any, isRead, hits []bool, _ int, rttNs int64) error {
-		return h(tag, isRead, hits, rttNs)
+	s.rpl = r.Pipeline(depth, func(_ any, isRead, hits []bool, _ int, rttNs int64) error {
+		return h(isRead, hits, rttNs)
 	})
 	return s, nil
 }
@@ -161,11 +160,11 @@ func (s *session) announce(keys []string) error {
 	return s.conn.Announce(keys)
 }
 
-func (s *session) submit(reqs []trace.Request, tag any) error {
+func (s *session) submit(reqs []trace.Request) error {
 	if s.router != nil {
-		return s.rpl.Submit(reqs, tag)
+		return s.rpl.Submit(reqs, nil)
 	}
-	return s.pl.Submit(reqs, tag)
+	return s.pl.Submit(reqs, nil)
 }
 
 func (s *session) drain() error {

@@ -4,15 +4,15 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/netclient"
 	"repro/internal/sim"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
 // workloadDef declares one benchmark workload as data: the generated
-// stream, the cache it runs against, how the clients drive it, and the
-// gate's tolerances. METRICS.md records why each one was chosen.
+// stream, the cache it runs against, and the gate's tolerance. Every
+// client is pipelined at netclient.DefaultDepth with adaptive batch
+// sizes, as clicsim -connect drives a server. METRICS.md records why each
+// workload was chosen.
 type workloadDef struct {
 	name string
 	why  string
@@ -25,25 +25,15 @@ type workloadDef struct {
 	shards int // shards per node
 	nodes  int // 0: one loopback server; otherwise a merging cluster
 
-	depth int  // pipeline depth; 0 selects netclient.DefaultDepth
-	batch int  // fixed batch size; 0 selects adaptive sizing
-	sync  bool // Drain after every Submit: a synchronous caller
-
 	// hitTolPts is how far read_hit_pct may sit from the serial reference
 	// replay of the same stream, in percentage points.
 	hitTolPts float64
-	// fits marks a stream whose distinct pages fit the cache: the gate
-	// then requires (almost) no evictions.
-	fits bool
 }
 
 // CLIC settings shared by every workload.
 const (
 	clicTopK   = 100
 	clicWindow = 50000
-	// fitsMaxEvictionsPerMiss is the gate's ceiling on evictions per read
-	// miss for a stream that fits the cache.
-	fitsMaxEvictionsPerMiss = 0.001
 )
 
 var workloads = []workloadDef{
@@ -67,20 +57,6 @@ var workloads = []workloadDef{
 		shards:    4,
 		nodes:     2,
 		hitTolPts: 3.0,
-	},
-	{
-		name:      "mysql-sync",
-		why:       "2 synchronous MySQL TPC-H callers, one 64-request batch at a time, on a cache the stream fits; per-batch fixed costs dominate",
-		preset:    "MY_H65",
-		clients:   2,
-		requests:  1_200_000,
-		cache:     64000,
-		shards:    8,
-		depth:     1,
-		batch:     64,
-		sync:      true,
-		hitTolPts: 1.0,
-		fits:      true,
 	},
 }
 
@@ -125,20 +101,4 @@ func (w *workloadDef) referenceFront() *core.Sharded {
 		cfg.Stats = core.StatsGlobal
 	}
 	return core.NewSharded(cfg, w.shards)
-}
-
-// pipelineDepth is the in-flight batch window of every client.
-func (w *workloadDef) pipelineDepth() int {
-	if w.depth > 0 {
-		return w.depth
-	}
-	return netclient.DefaultDepth
-}
-
-// batchSize is the request count of the workload's rung batches.
-func (w *workloadDef) batchSize() int {
-	if w.batch > 0 {
-		return w.batch
-	}
-	return wire.DefaultBatch
 }
