@@ -53,22 +53,6 @@ type runResult struct {
 	stealPct  float64 // CPU time stolen by the hypervisor during the passes
 }
 
-// reference is the serial replay of a pass's stream: what the stream
-// holds per client and the hit ratio one goroutine gets from the same
-// cache configuration.
-type reference struct {
-	requests, reads, hits []uint64
-}
-
-func (r *reference) hitPct() float64 {
-	var reads, hits uint64
-	for i := range r.reads {
-		reads += r.reads[i]
-		hits += r.hits[i]
-	}
-	return 100 * ratio(float64(hits), float64(reads))
-}
-
 // runWorkload runs passes until --seconds of replay have been measured,
 // checks every pass against the gate, and computes the run's metrics.
 func runWorkload(w *workloadDef, o options, logw io.Writer) (*runResult, error) {
@@ -115,9 +99,9 @@ func runWorkload(w *workloadDef, o options, logw io.Writer) (*runResult, error) 
 		passes = append(passes, p)
 		timed += float64(p.timedNs) / 1e9
 		p50, p99, n := p.batchQuantiles()
-		fmt.Fprintf(logw, "pass %d traced=%v generated=%v setup=%.3fs replay=%.3fs %.0f req/s batch p50 %.0fus p99 %.0fus mean size %.0f steal %.1f%%\n",
+		fmt.Fprintf(logw, "pass %d traced=%v generated=%v setup=%.3fs replay=%.3fs %.0f req/s batch p50 %.0fus p99 %.0fus mean size %.0f read hit %.3f%% steal %.1f%%\n",
 			len(passes), traced, p.generated, float64(p.setupNs)/1e9, float64(p.timedNs)/1e9, p.throughput(), p50, p99,
-			ratio(float64(p.answered()), float64(n)), p.stealPct)
+			ratio(float64(p.answered()), float64(n)), p.readHitPct(), p.stealPct)
 	}
 	res.stealPct = steal.pct()
 	rss, err := peakRSSMB()
@@ -163,43 +147,13 @@ func runWorkload(w *workloadDef, o options, logw io.Writer) (*runResult, error) 
 	return res, nil
 }
 
-// serialReference replays the stream file through the reference front on
-// one goroutine — sim.Run's accounting over a streamed file, so no trace
-// is held in memory.
-func serialReference(w *workloadDef, path string) (*reference, error) {
-	sc, err := trace.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer sc.Close()
-	n := len(sc.Clients())
-	ref := &reference{requests: make([]uint64, n), reads: make([]uint64, n), hits: make([]uint64, n)}
-	front := w.referenceFront()
-	defer front.Close()
-	for sc.Scan() {
-		r := sc.Request()
-		if int(r.Client) >= n {
-			return nil, fmt.Errorf("request names client %d, stream declares %d", r.Client, n)
-		}
-		hit := front.Access(r)
-		ref.requests[r.Client]++
-		if r.Op == trace.Read {
-			ref.reads[r.Client]++
-			if hit {
-				ref.hits[r.Client]++
-			}
-		}
-	}
-	return ref, sc.Err()
-}
-
 // gate checks one pass and returns what it got wrong.
 func gate(w *workloadDef, p *passResult, ref *reference) []string {
 	var bad []string
 	if len(p.clients) != len(ref.requests) {
 		return []string{fmt.Sprintf("%d clients replayed, stream holds %d", len(p.clients), len(ref.requests))}
 	}
-	var reads, hits uint64
+	var hits uint64
 	for i, c := range p.clients {
 		if c.answered != ref.requests[i] {
 			bad = append(bad, fmt.Sprintf("client %s: %d replies, stream holds %d requests", c.name, c.answered, ref.requests[i]))
@@ -207,7 +161,6 @@ func gate(w *workloadDef, p *passResult, ref *reference) []string {
 		if c.reads != ref.reads[i] {
 			bad = append(bad, fmt.Sprintf("client %s: %d reads answered, stream holds %d", c.name, c.reads, ref.reads[i]))
 		}
-		reads += c.reads
 		hits += c.hits
 	}
 	var served uint64
@@ -217,7 +170,7 @@ func gate(w *workloadDef, p *passResult, ref *reference) []string {
 	if hits != served {
 		bad = append(bad, fmt.Sprintf("replies carry %d read hits, servers counted %d", hits, served))
 	}
-	got, want := 100*ratio(float64(hits), float64(reads)), ref.hitPct()
+	got, want := p.readHitPct(), ref.hitPct()
 	if math.Abs(got-want) > w.hitTolPts {
 		bad = append(bad, fmt.Sprintf("read hit %.3f%% is more than %.1f points from the serial reference %.3f%%", got, w.hitTolPts, want))
 	}

@@ -183,3 +183,34 @@ func TestGateCatchesWrongHits(t *testing.T) {
 		t.Errorf("failed run does not report answered_pct:\n%s", out.String())
 	}
 }
+
+// The cluster reference is driven serially on the mutex engine with a
+// summary exchange after every batch, so the gate compares each pass
+// against a fixed figure.
+func TestClusterReferenceDeterministic(t *testing.T) {
+	w, err := workloadByName("tpch-cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Enough requests for each node to rotate its window a dozen times.
+	w = shortWorkload(*w)
+	w.requests = 600_000
+	path := streamPath(t.TempDir(), w.name)
+	if err := generateStream(w, 5, path); err != nil {
+		t.Fatal(err)
+	}
+	a, err := serialReference(w, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := serialReference(w, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.hits[0] != b.hits[0] || a.reads[0] != b.reads[0] || a.requests[0] != uint64(w.requests) {
+		t.Errorf("two serial cluster replays differ: %+v and %+v (stream holds %d requests)", a, b, w.requests)
+	}
+	if a.hits[0] == 0 {
+		t.Error("serial cluster replay got no read hits")
+	}
+}

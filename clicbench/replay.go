@@ -239,6 +239,16 @@ func (p *passResult) answered() uint64 {
 	return n
 }
 
+// readHitPct is the pass's read hit ratio, from the replies.
+func (p *passResult) readHitPct() float64 {
+	var reads, hits uint64
+	for _, c := range p.clients {
+		reads += c.reads
+		hits += c.hits
+	}
+	return 100 * ratio(float64(hits), float64(reads))
+}
+
 func (p *passResult) throughput() float64 {
 	return ratio(float64(p.answered()), float64(p.timedNs)/1e9)
 }

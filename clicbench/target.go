@@ -42,12 +42,7 @@ func startTarget(w *workloadDef) (*target, error) {
 		}
 		return &target{servers: []*server.Server{srv}}, nil
 	}
-	h, err := cluster.StartHarness(cluster.HarnessConfig{
-		Nodes:   w.nodes,
-		Cache:   w.cacheConfig(),
-		Shards:  w.shards,
-		Merging: true,
-	})
+	h, err := cluster.StartHarness(w.harnessConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -25,8 +26,8 @@ type workloadDef struct {
 	shards int // shards per node
 	nodes  int // 0: one loopback server; otherwise a merging cluster
 
-	// hitTolPts is how far read_hit_pct may sit from the serial reference
-	// replay of the same stream, in percentage points.
+	// hitTolPts is how far a pass's read hit ratio may sit from the serial
+	// reference replay of the same stream, in percentage points.
 	hitTolPts float64
 }
 
@@ -89,16 +90,13 @@ func (w *workloadDef) cacheConfig() core.Config {
 	}
 }
 
-// referenceFront is the cache the serial reference replay runs through:
-// the served configuration on one node, driven by one goroutine. It uses
-// the mutex engine, which gives bit-identical results to the owner engine
-// for a single request stream and needs no shard goroutines. A merging
-// cluster's single-node equivalent learns globally across its shards.
-func (w *workloadDef) referenceFront() *core.Sharded {
-	cfg := w.cacheConfig()
-	cfg.Engine = core.EngineMutex
-	if w.nodes > 0 {
-		cfg.Stats = core.StatsGlobal
+// harnessConfig is the merging cluster a clustered workload boots: the
+// cluster-wide cache split over w.nodes nodes of w.shards shards each.
+func (w *workloadDef) harnessConfig() cluster.HarnessConfig {
+	return cluster.HarnessConfig{
+		Nodes:   w.nodes,
+		Cache:   w.cacheConfig(),
+		Shards:  w.shards,
+		Merging: true,
 	}
-	return core.NewSharded(cfg, w.shards)
 }
