@@ -36,14 +36,18 @@
 // Sharded.NewProducer and submit batches with AccessBatch. The engines
 // are behaviorally bit-identical per producer stream; the owner engine
 // trades the universal call-from-anywhere API for a lock-free request
-// path. Both engines keep the steady-state request path allocation-free:
-// page/outqueue entries, victim groups, Space-Saving counters and window
-// statistics are all recycled through freelists.
+// path. Both engines keep the steady-state request path allocation-free.
+// The records of cached and outqueued pages share one flat page table
+// (structures.go): a pointer-free slab plus an open-addressing index, so
+// a request costs one probe and a page moving between the cache and the
+// outqueue keeps its record. The table grows only until it holds
+// Capacity+Noutq records; victim groups, Space-Saving counters and window
+// statistics are recycled through freelists.
 package core
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 
 	"repro/internal/clicstats"
 	"repro/internal/hint"
@@ -180,19 +184,26 @@ type Cache struct {
 	learner clicstats.Learner
 	epoch   uint64
 
-	// Cached pages, grouped per hint set.
-	pages  map[uint64]*pageEntry
-	groups map[hint.ID]*group
-	heap   groupHeap
+	// pt holds the record of every cached and every outqueued page: one
+	// lookup finds either, and a page moving between the two keeps its
+	// record.
+	pt pageTable
 
-	// Outqueue of recently seen, uncached pages (§3.1). Its entry freelist
-	// is shared with the cached-page entries: pages migrate between the two
-	// structures on every admit/evict, so one pool serves both.
-	out outqueue
+	// Cached pages, grouped per hint set: groups is the group slab, groupOf
+	// maps a hint set to its group or nilRec (hint IDs are dense, so it is
+	// indexed by ID), and heap orders the groups by victim key. cached
+	// counts the records in groups.
+	groups  []group
+	groupOf []int32
+	heap    []int32
+	cached  int
 
 	// freeGroups recycles empty hint-set groups; groups churn whenever a
 	// hint set's last page leaves the cache.
-	freeGroups []*group
+	freeGroups []int32
+
+	// Outqueue of recently seen, uncached pages (§3.1).
+	out outqueue
 
 	// evictions counts cached pages displaced by a higher-priority admit.
 	// Plain (the cache is single-owner); Sharded mirrors it into an atomic.
@@ -224,13 +235,15 @@ func New(cfg Config) *Cache {
 // shares one learner across shards in global mode). cfg must already have
 // defaults applied.
 func newCache(cfg Config, l clicstats.Learner) *Cache {
+	if cfg.Capacity+cfg.Noutq > math.MaxInt32 {
+		panic("core: capacity plus outqueue exceeds 2^31-1 records")
+	}
 	c := &Cache{
 		cfg:     cfg,
 		learner: l,
-		pages:   make(map[uint64]*pageEntry, cfg.Capacity),
-		groups:  make(map[hint.ID]*group),
+		out:     outqueue{recList: recList{nilRec, nilRec}, capacity: cfg.Noutq},
 	}
-	c.out.init(cfg.Noutq)
+	c.pt.init(cfg.Capacity + cfg.Noutq)
 	return c
 }
 
@@ -238,7 +251,7 @@ func newCache(cfg Config, l clicstats.Learner) *Cache {
 func (c *Cache) Name() string { return "CLIC" }
 
 // Len implements policy.Policy.
-func (c *Cache) Len() int { return len(c.pages) }
+func (c *Cache) Len() int { return c.cached }
 
 // Capacity implements policy.Policy.
 func (c *Cache) Capacity() int { return c.cfg.Capacity }
@@ -263,24 +276,17 @@ func (c *Cache) Access(r trace.Request) bool {
 	s := c.seq
 	c.seq++
 
-	// One lookup in each table serves both the statistics and the placement
-	// decision below: e is the page's cached record, oe its outqueue record
-	// (at most one of the two exists).
-	e, cached := c.pages[r.Page]
-	var oe *pageEntry
-	if !cached {
-		oe, _ = c.out.get(r.Page)
-	}
+	// One lookup serves both the statistics and the placement decision
+	// below: e is the page's record, cached or outqueued, if it has one.
+	e := c.pt.lookup(r.Page)
+	cached := e != nilRec && c.pt.recs[e].grp >= 0
 
 	// Statistics: count the arrival, and detect a read re-reference using
 	// the most-recent-request record held in the cache or the outqueue.
 	c.learner.Arrive(r.Hint)
-	if r.Op == trace.Read {
-		if cached {
-			c.learner.Reref(e.hint, s-e.seq)
-		} else if oe != nil {
-			c.learner.Reref(oe.hint, s-oe.seq)
-		}
+	if r.Op == trace.Read && e != nilRec {
+		rec := &c.pt.recs[e]
+		c.learner.Reref(rec.hint, s-rec.seq)
 	}
 
 	hit := false
@@ -290,7 +296,7 @@ func (c *Cache) Access(r trace.Request) bool {
 		hit = r.Op == trace.Read
 		c.rehint(e, s, r.Hint)
 	} else {
-		c.admit(r.Page, s, r.Hint, oe)
+		c.admit(r.Page, s, r.Hint, e)
 	}
 
 	if c.learner.EndRequest() {
@@ -308,72 +314,67 @@ func (c *Cache) syncPriorities() {
 		return
 	}
 	c.epoch = e
-	for _, g := range c.groups {
+	for _, gi := range c.heap {
+		g := &c.groups[gi]
 		g.pr = c.learner.Priority(g.hint)
 	}
-	heap.Init(&c.heap)
+	c.heapInit()
 }
 
 // admit handles a request for an uncached page (Figure 4 lines 1–22). oe is
-// the page's outqueue record if it has one (already looked up by Access).
-func (c *Cache) admit(page, s uint64, h hint.ID, oe *pageEntry) {
-	if len(c.pages) < c.cfg.Capacity {
+// the page's outqueue record, or nilRec (already looked up by Access).
+func (c *Cache) admit(page, s uint64, h hint.ID, oe int32) {
+	if c.cached < c.cfg.Capacity {
 		c.insert(page, s, h, oe)
 		return
 	}
 	if c.cfg.Capacity > 0 && len(c.heap) > 0 {
-		top := c.heap[0]
+		top := &c.groups[c.heap[0]]
 		if c.priority(h) > top.pr {
 			v := top.head // minimum seq within the minimum-priority group
 			c.removeFromGroup(v)
-			delete(c.pages, v.page)
 			c.evictions++
 			// The victim's record enters the outqueue before the new page's
-			// stale record leaves (the order the original per-step code
-			// implied): if the outqueue is full, the entry displaced can be
-			// oe itself, in which case the incoming page no longer has a
-			// record to drop.
-			if c.out.putEntry(v) == oe {
-				oe = nil
+			// record leaves it: if the outqueue is full, the record dropped
+			// can be oe itself, in which case the incoming page no longer
+			// has a record to promote.
+			if c.putVictim(v) == oe {
+				oe = nilRec
 			}
 			c.insert(page, s, h, oe)
 			return
 		}
 	}
 	// Do not cache: record the request in the outqueue (lines 19–22).
-	if oe != nil {
-		c.out.refresh(oe, s, h)
+	if oe != nilRec {
+		c.refresh(oe, s, h)
 	} else {
-		c.out.putNew(page, s, h)
+		c.putNew(page, s, h)
 	}
 }
 
 // insert caches a page with the given record. oe is the page's outqueue
-// record if it still has one; the cache now holds the authoritative record,
-// so the stale one is dropped.
-func (c *Cache) insert(page, s uint64, h hint.ID, oe *pageEntry) {
-	if c.cfg.Capacity == 0 {
-		if oe != nil {
-			c.out.refresh(oe, s, h)
-		} else {
-			c.out.putNew(page, s, h)
-		}
-		return
+// record if it still has one, which moves from the outqueue into a group;
+// otherwise the page gets a new record.
+func (c *Cache) insert(page, s uint64, h hint.ID, oe int32) {
+	r := oe
+	if r != nilRec {
+		c.out.unlink(c.pt.recs, r)
+		c.out.size--
+		e := &c.pt.recs[r]
+		e.seq, e.hint = s, h
+	} else {
+		r = c.pt.add(page, s, h)
 	}
-	if oe != nil {
-		c.out.dropEntry(oe)
-	}
-	e := c.out.takeFree(page, s, h)
-	c.pages[page] = e
-	c.appendToGroup(e, h)
+	c.appendToGroup(r, h)
 }
 
 // rehint updates a cached page's record after a new request for it.
-func (c *Cache) rehint(e *pageEntry, s uint64, h hint.ID) {
-	c.removeFromGroup(e)
-	e.seq = s
-	e.hint = h
-	c.appendToGroup(e, h)
+func (c *Cache) rehint(r int32, s uint64, h hint.ID) {
+	c.removeFromGroup(r)
+	e := &c.pt.recs[r]
+	e.seq, e.hint = s, h
+	c.appendToGroup(r, h)
 }
 
 // priority returns Pr(H) in effect during the current window.

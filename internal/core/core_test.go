@@ -348,52 +348,66 @@ func TestInvariantsQuick(t *testing.T) {
 	}
 }
 
-// checkConsistency validates the internal structures: every cached page is
-// in exactly one group, group sizes add up, every non-empty group is in the
-// heap exactly once, and heap indices are correct.
+// checkConsistency validates the internal structures in both directions:
+// every cached page is in exactly one seq-ordered group, the groups hold
+// the cached count, every group is in the heap once with a correct index, the
+// outqueue list matches its size, and the page table holds exactly the
+// cached and outqueued records (see pageTable.check).
 func (c *Cache) checkConsistency() bool {
+	recs := c.pt.recs
 	total := 0
-	for h, g := range c.groups {
-		if g.size <= 0 || g.hint != h {
+	ngroups := 0
+	for h, gi := range c.groupOf {
+		if gi == nilRec {
+			continue
+		}
+		ngroups++
+		g := &c.groups[gi]
+		if g.head == nilRec || int(g.hint) != h {
 			return false
 		}
 		n := 0
-		var prevSeq uint64
-		for e := g.head; e != nil; e = e.next {
-			if e.grp != g {
+		prev := nilRec
+		for r := g.head; r != nilRec; r = recs[r].next {
+			if recs[r].grp != gi || recs[r].prev != prev {
 				return false
 			}
-			if n > 0 && e.seq < prevSeq {
+			if prev != nilRec && recs[r].seq < recs[prev].seq {
 				return false // list must be seq-ordered
 			}
-			prevSeq = e.seq
+			prev = r
 			n++
 		}
-		if n != g.size {
+		if g.tail != prev {
 			return false
 		}
 		total += n
 	}
-	if total != len(c.pages) {
+	if total != c.cached {
 		return false
 	}
-	if len(c.heap) != len(c.groups) {
+	if len(c.heap) != ngroups {
 		return false
 	}
-	for i, g := range c.heap {
-		if g.heapIdx != i {
+	for i, gi := range c.heap {
+		if int(c.groups[gi].heapIdx) != i || c.groupOf[c.groups[gi].hint] != gi {
 			return false
 		}
 	}
-	// Outqueue map and list must agree.
+	// The outqueue list must match its size and hold uncached records.
 	n := 0
-	for e := c.out.head; e != nil; e = e.next {
-		if c.out.pages[e.page] != e {
+	prev := nilRec
+	for r := c.out.head; r != nilRec; r = recs[r].next {
+		if recs[r].grp != nilRec || recs[r].prev != prev {
 			return false
 		}
+		prev = r
 		n++
 	}
-	return n == c.out.size
+	if n != c.out.size || c.out.tail != prev || n > max(c.out.capacity, 0) {
+		return false
+	}
+	return c.pt.check(c.cached, c.out.size) == nil
 }
 
 func TestZeroCapacity(t *testing.T) {
@@ -436,6 +450,9 @@ func BenchmarkAccessTopK(b *testing.B) {
 	benchmarkAccess(b, 50)
 }
 
+// benchmarkAccess draws 8,192 pages uniformly: they all fit in the cache
+// plus its outqueue (2,048 + 10,240 records), so no outqueue record is ever
+// dropped. See BenchmarkAccessSkewed for the miss path.
 func benchmarkAccess(b *testing.B, topk int) {
 	rng := rand.New(rand.NewSource(1))
 	reqs := make([]trace.Request, 1<<16)
@@ -451,6 +468,40 @@ func benchmarkAccess(b *testing.B, topk int) {
 		}
 	}
 	c := New(Config{Capacity: 2048, Window: 10000, TopK: topk})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Access(reqs[i%len(reqs)])
+	}
+}
+
+// BenchmarkAccessSkewed draws Zipf-popular pages from 131,072: its 1M
+// requests touch about 85,000 distinct pages, ~7 times the 12,288 records
+// the cache (2,048 pages) and its outqueue can hold. So a request for a
+// page with no record reuses the oldest outqueue record, and admissions
+// and evictions move records between groups and the outqueue. The cache
+// is warmed on one pass of the requests before timing.
+func BenchmarkAccessSkewed(b *testing.B) {
+	const pages = 1 << 17
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 4, pages-1)
+	reqs := make([]trace.Request, 1<<20)
+	distinct := make(map[uint64]bool)
+	for i := range reqs {
+		op := trace.Read
+		if rng.Intn(3) == 0 {
+			op = trace.Write
+		}
+		p := zipf.Uint64()
+		distinct[p] = true
+		reqs[i] = trace.Request{Page: p, Hint: hint.ID(p % 64), Op: op}
+	}
+	c := New(Config{Capacity: 2048, Window: 10000, TopK: 50})
+	if limit := c.Config().Capacity + c.Config().Noutq; len(distinct) < 5*limit {
+		b.Fatalf("%d distinct pages, want several times %d", len(distinct), limit)
+	}
+	for _, r := range reqs {
+		c.Access(r)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(reqs[i%len(reqs)])
