@@ -281,6 +281,16 @@ func serveBenchConfig() core.Config {
 	return core.Config{TopK: 100, Window: 50000, Capacity: sim.ClicCapacity(18000)}
 }
 
+// serveInProcess replays t through engine.Replay's in-process target over
+// front.
+func serveInProcess(b *testing.B, front *core.Sharded, t *trace.Trace) sim.Result {
+	res, err := engine.Replay(engine.InProcess{Front: front}, t.Source(), engine.ReplayOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // reportServeMetrics attaches throughput and hit ratio to a serving bench.
 func reportServeMetrics(b *testing.B, t *trace.Trace, res sim.Result) {
 	b.ReportMetric(float64(t.Len())*float64(b.N)/b.Elapsed().Seconds(), "reqs/s")
@@ -294,7 +304,7 @@ func BenchmarkServeClients(b *testing.B) {
 	b.ResetTimer()
 	var res sim.Result
 	for i := 0; i < b.N; i++ {
-		res = engine.ServeClients(core.NewSharded(serveBenchConfig(), serveBenchShards), t)
+		res = serveInProcess(b, core.NewSharded(serveBenchConfig(), serveBenchShards), t)
 	}
 	reportServeMetrics(b, t, res)
 }
@@ -311,7 +321,7 @@ func BenchmarkServeLoopback(b *testing.B) {
 		if err := srv.Start("127.0.0.1:0"); err != nil {
 			b.Fatal(err)
 		}
-		r, err := netclient.Replay(srv.Addr().String(), t, netclient.ReplayOptions{})
+		r, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), t.Source(), engine.ReplayOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -358,7 +368,7 @@ func BenchmarkServeClientsGlobal(b *testing.B) {
 	b.ResetTimer()
 	var res sim.Result
 	for i := 0; i < b.N; i++ {
-		res = engine.ServeClients(core.NewSharded(cfg, serveBenchShards), t)
+		res = serveInProcess(b, core.NewSharded(cfg, serveBenchShards), t)
 	}
 	reportServeMetrics(b, t, res)
 }
@@ -450,7 +460,7 @@ func BenchmarkServeClientsOwner(b *testing.B) {
 	var res sim.Result
 	for i := 0; i < b.N; i++ {
 		s := core.NewSharded(cfg, serveBenchShards)
-		res = engine.ServeClients(s, t)
+		res = serveInProcess(b, s, t)
 		s.Close()
 	}
 	reportServeMetrics(b, t, res)
@@ -471,7 +481,7 @@ func BenchmarkServeLoopbackOwner(b *testing.B) {
 		if err := srv.Start("127.0.0.1:0"); err != nil {
 			b.Fatal(err)
 		}
-		r, err := netclient.Replay(srv.Addr().String(), t, netclient.ReplayOptions{})
+		r, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), t.Source(), engine.ReplayOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -496,7 +506,7 @@ func BenchmarkClusterDirectLoopback(b *testing.B) {
 		if err := srv.Start("127.0.0.1:0"); err != nil {
 			b.Fatal(err)
 		}
-		r, err := netclient.Replay(srv.Addr().String(), t, netclient.ReplayOptions{})
+		r, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), t.Source(), engine.ReplayOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -528,7 +538,7 @@ func BenchmarkClusterRouterLoopback(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := h.Replay(t, cluster.ReplayOptions{})
+		r, err := h.Replay(t.Source(), engine.ReplayOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -147,11 +147,11 @@ func main() {
 		// (-concurrent, -serve, the network server) are the owner paths.
 		fatal(fmt.Errorf("-engine owner requires -concurrent (or -serve); serial replay uses the mutex engine"))
 	}
-	// The grid path and the timeline recorder need the whole trace; the
-	// plain concurrent serve streams it instead (constant memory at any
-	// trace length — a -gen spec never materialises at all).
+	// The grid path needs the whole trace; the concurrent serve streams it
+	// instead (constant memory at any trace length — a -gen spec never
+	// materialises at all).
 	var t *trace.Trace
-	if !*concurrent || *timeline != "" {
+	if !*concurrent {
 		it, err := src.Iter()
 		if err != nil {
 			fatal(err)
@@ -179,8 +179,8 @@ func main() {
 		sharded := polName == "CLIC" && *shards > 1
 		anySharded = anySharded || sharded
 		if *concurrent && !sharded {
-			// ServeClients drives the cache from one goroutine per client;
-			// only the sharded CLIC front is safe for that.
+			// A concurrent replay drives the cache from one goroutine per
+			// client; only the sharded CLIC front is safe for that.
 			fatal(fmt.Errorf("-concurrent only supports CLIC behind -shards > 1; %q is not safe for concurrent use", polName))
 		}
 		if !sharded {
@@ -218,24 +218,19 @@ func main() {
 	if *concurrent {
 		// Concurrent serving: every cell is one sharded front driven by all
 		// clients at once; the cells themselves still run in sequence so
-		// each front gets the full core budget.
+		// each front gets the full core budget. The request stream is
+		// generated or read from disk again for each cell, and never held
+		// in RAM.
 		for _, j := range jobs {
-			p := j.New()
+			s := j.New().(*core.Sharded)
+			var res sim.Result
 			if *timeline != "" {
-				results = append(results, serveTimeline(p, t, *timeline, *interval))
-			} else {
-				// Stream the source through the front — the request stream is
-				// generated or read from disk again for each cell, and never
-				// held in RAM.
-				res, err := engine.ServeSource(p, src, 0)
-				if err != nil {
-					fatal(err)
-				}
-				results = append(results, res)
+				res = serveTimeline(s, src, *timeline, *interval)
+			} else if res, err = engine.Replay(engine.InProcess{Front: s}, src, engine.ReplayOptions{}); err != nil {
+				fatal(err)
 			}
-			if s, ok := p.(*core.Sharded); ok {
-				s.Close()
-			}
+			results = append(results, res)
+			s.Close()
 		}
 	} else {
 		results = engine.Run(jobs, engine.Options{Workers: *workers})
@@ -266,15 +261,12 @@ func main() {
 	}
 }
 
-// serveTimeline is engine.ServeClients with a timeline recorder attached:
-// the standard cache columns (engine.CacheTimeline) over a batch-latency
-// histogram fed by every client goroutine, sampled every interval and on
-// window rotations, with a final row when the replay drains.
-func serveTimeline(p policy.Policy, t *trace.Trace, path string, interval time.Duration) sim.Result {
-	s, ok := p.(*core.Sharded)
-	if !ok {
-		fatal(fmt.Errorf("-timeline requires the sharded CLIC front"))
-	}
+// serveTimeline is the in-process replay with a timeline recorder
+// attached: the standard cache columns (engine.CacheTimeline) over a
+// batch-latency histogram fed by every client goroutine, sampled every
+// interval and on window rotations, with a final row when the replay
+// drains.
+func serveTimeline(s *core.Sharded, src trace.Source, path string, interval time.Duration) sim.Result {
 	f, err := os.Create(path)
 	if err != nil {
 		fatal(err)
@@ -284,8 +276,12 @@ func serveTimeline(p policy.Policy, t *trace.Trace, path string, interval time.D
 	tl := metrics.NewTimeline(bf)
 	engine.CacheTimeline(tl, s, &lat)
 	stop := tl.Start(interval, func() float64 { return float64(s.Windows()) })
-	res := engine.ServeClientsMetrics(p, t, &engine.ServeMetrics{BatchLatency: &lat})
+	res, err := engine.Replay(engine.InProcess{Front: s, Metrics: &engine.ServeMetrics{BatchLatency: &lat}},
+		src, engine.ReplayOptions{})
 	stop()
+	if err != nil {
+		fatal(err)
+	}
 	if err := tl.Err(); err != nil {
 		fatal(fmt.Errorf("timeline: %w", err))
 	}
@@ -347,23 +343,18 @@ func replay(addrs []string, src trace.Source, label string, batch, depth, limit 
 			fatal(fmt.Errorf("no usable cache server at %q: %w", addrs[i], err))
 		}
 	}
-	var (
-		res sim.Result
-		err error
-	)
-	start := time.Now()
-	if len(addrs) == 1 {
-		// Single server: stream the source in constant memory.
-		res, err = netclient.ReplaySource(addrs[0], src, netclient.ReplayOptions{BatchSize: batch, Depth: depth, Limit: limit})
-	} else {
-		// Cluster: the routers split batches by page owner and stream the
-		// source in constant memory, announcing hint keys as they appear.
+	// Either way the source streams in constant memory; a cluster's
+	// routers split batches by page owner.
+	var target engine.Target = netclient.NewTarget(addrs[0])
+	if len(addrs) > 1 {
 		nodes := make([]cluster.Node, len(addrs))
 		for i, addr := range addrs {
 			nodes[i] = cluster.Node{Name: addr, Addr: addr}
 		}
-		res, err = cluster.ReplaySource(nodes, src, cluster.ReplayOptions{BatchSize: batch, Depth: depth, Limit: limit})
+		target = cluster.NewTarget(nodes)
 	}
+	start := time.Now()
+	res, err := engine.Replay(target, src, engine.ReplayOptions{BatchSize: batch, Depth: depth, Limit: limit})
 	elapsed := time.Since(start)
 	if err != nil {
 		fatal(fmt.Errorf("replaying %s: %w", label, err))

@@ -205,7 +205,7 @@ func runStream(arg string, cacheSize, shards, window int, r float64) {
 	front := core.NewSharded(cfg, shards)
 	defer front.Close()
 	start := time.Now()
-	res, err := engine.ServeSource(front, src, 0)
+	res, err := engine.Replay(engine.InProcess{Front: front}, src, engine.ReplayOptions{})
 	if err != nil {
 		fatal(err)
 	}

@@ -97,7 +97,10 @@ func main() {
 	// Concurrent serving: the same merged workload, but each client drives
 	// the server from its own goroutine against one sharded CLIC front.
 	front := core.NewSharded(core.Config{TopK: 100, Window: 50000, Capacity: sim.ClicCapacity(shared)}, *shards)
-	conc := engine.ServeClients(front, merged)
+	conc, err := engine.Replay(engine.InProcess{Front: front}, merged.Source(), engine.ReplayOptions{})
+	if err != nil {
+		fail(err)
+	}
 	ctbl := report.NewTable(
 		fmt.Sprintf("concurrent serving — %d clients driving one %s-page %s front",
 			len(names), report.Num(shared), front.Name()),

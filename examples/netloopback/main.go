@@ -1,9 +1,10 @@
 // Network loopback serving: the storage-server scenario of the paper run
 // over a real TCP connection per client. Three database clients with
 // different buffer sizes replay their workloads against one CLIC cache
-// server in the same process — first through engine.ServeClients (shared
-// memory, one goroutine per client), then through internal/server and
-// internal/netclient (the wire protocol, one connection per client).
+// server in the same process — both through engine.Replay, first with its
+// in-process target (shared memory, one goroutine per client), then with a
+// netclient target against internal/server (the wire protocol, one
+// connection per client).
 //
 // Per-client read counts are identical on both paths; aggregate hit ratios
 // differ only through arrival order, which on both paths is whatever the
@@ -55,7 +56,10 @@ func main() {
 	cfg := core.Config{TopK: 100, Window: 50000, Capacity: sim.ClicCapacity(shared)}
 
 	// In-process path: one goroutine per client against a sharded front.
-	inproc := engine.ServeClients(core.NewSharded(cfg, *shards), merged)
+	inproc, err := engine.Replay(engine.InProcess{Front: core.NewSharded(cfg, *shards)}, merged.Source(), engine.ReplayOptions{})
+	if err != nil {
+		fail(err)
+	}
 
 	// Network path: a real TCP server on loopback, one connection per
 	// client, same cache configuration.
@@ -64,7 +68,7 @@ func main() {
 		fail(err)
 	}
 	defer srv.Close()
-	netres, err := netclient.Replay(srv.Addr().String(), merged, netclient.ReplayOptions{})
+	netres, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), merged.Source(), engine.ReplayOptions{})
 	if err != nil {
 		fail(err)
 	}

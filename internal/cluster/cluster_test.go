@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/netclient"
 	"repro/internal/server"
 	"repro/internal/trace"
@@ -45,20 +46,20 @@ func startHarness(t *testing.T, cfg cluster.HarnessConfig) *cluster.Harness {
 // TestSingleNodeGolden is the router equivalence test: a 1-node cluster
 // routes every request to its only node in submission order, so replaying
 // a single-client trace through the router must be bit-identical — hits,
-// misses, labels, server-side counters, outqueue — to netclient.Replay
+// misses, labels, server-side counters, outqueue — to a netclient replay
 // against an identically configured standalone server.
 func TestSingleNodeGolden(t *testing.T) {
 	cfg := core.Config{Capacity: 3000, Window: 5000}
 	const shards = 4
 
 	direct := startDirect(t, server.Config{Cache: cfg, Shards: shards})
-	want, err := netclient.Replay(direct.Addr().String(), testTrace, netclient.ReplayOptions{})
+	want, err := engine.Replay(netclient.NewTarget(direct.Addr().String()), testTrace.Source(), engine.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	h := startHarness(t, cluster.HarnessConfig{Nodes: 1, Cache: cfg, Shards: shards})
-	got, err := cluster.Replay(h.Nodes(), testTrace, cluster.ReplayOptions{})
+	got, err := engine.Replay(cluster.NewTarget(h.Nodes()), testTrace.Source(), engine.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestReplaySerialDeterministic(t *testing.T) {
 			Cache:   core.Config{Capacity: 3000, Window: 3000},
 			Merging: true,
 		})
-		res, err := h.ReplaySerial(testTrace, cluster.ReplayOptions{})
+		res, err := h.ReplaySerial(testTrace, engine.ReplayOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +167,7 @@ func TestClusterConcurrent(t *testing.T) {
 		Shards:  2,
 		Merging: true,
 	})
-	res, err := h.Replay(merged, cluster.ReplayOptions{BatchSize: 128})
+	res, err := h.Replay(merged.Source(), engine.ReplayOptions{BatchSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

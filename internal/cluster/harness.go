@@ -5,9 +5,11 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // HarnessConfig parameterises an in-process cluster.
@@ -32,9 +34,6 @@ type HarnessConfig struct {
 	// LocalBias is the merged learner's node-local weighting (see
 	// clicstats.Config.LocalBias). Ignored without Merging.
 	LocalBias float64
-	// VirtualNodes is the ring density used by the harness's replay
-	// drivers; 0 selects DefaultVirtualNodes.
-	VirtualNodes int
 }
 
 // Harness is an in-process cluster: N cache servers on loopback listeners
@@ -46,7 +45,6 @@ type Harness struct {
 	servers []*server.Server
 	nodes   []Node
 	coord   *Coordinator
-	vnodes  int
 }
 
 // StartHarness boots the cluster: every node gets its split of the cache
@@ -68,7 +66,6 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 	h := &Harness{
 		servers: make([]*server.Server, n),
 		nodes:   make([]Node, n),
-		vnodes:  cfg.VirtualNodes,
 	}
 	if cfg.Merging {
 		h.coord = NewCoordinator(n)
@@ -124,7 +121,7 @@ func splitEven(total, n, i int) int {
 }
 
 // Nodes returns the cluster's routing table (stable names, live
-// addresses) for DialRouter / Replay.
+// addresses) for DialRouter / NewTarget.
 func (h *Harness) Nodes() []Node { return h.nodes }
 
 // Server returns node i's server (stats, snapshots).
@@ -162,11 +159,11 @@ func (h *Harness) Close() error {
 // deterministic — the mode the golden tests and the cluster ablation run
 // in. Per-client accounting is derived from the request tags, exactly like
 // sim.Run's round-robin replay.
-func (h *Harness) ReplaySerial(t *trace.Trace, opt ReplayOptions) (sim.Result, error) {
+func (h *Harness) ReplaySerial(t *trace.Trace, opt engine.ReplayOptions) (sim.Result, error) {
 	if opt.Limit > 0 {
 		t = t.Truncate(opt.Limit)
 	}
-	router, err := DialRouter(h.nodes, h.vnodes)
+	router, err := DialRouter(h.nodes, 0)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -184,7 +181,10 @@ func (h *Harness) ReplaySerial(t *trace.Trace, opt ReplayOptions) (sim.Result, e
 	for c, name := range t.Clients {
 		res.PerClient[c].Name = name
 	}
-	batch := opt.batch()
+	batch := opt.BatchSize
+	if batch <= 0 {
+		batch = wire.DefaultBatch
+	}
 	reqs := t.Reqs
 	for len(reqs) > 0 {
 		n := batch
@@ -212,13 +212,11 @@ func (h *Harness) ReplaySerial(t *trace.Trace, opt ReplayOptions) (sim.Result, e
 	return res, nil
 }
 
-// Replay replays a trace concurrently — one router per trace client — while
-// a background pump exchanges summaries as they appear. Nondeterministic
-// like every concurrent replay; this is the stress and benchmark mode.
-func (h *Harness) Replay(t *trace.Trace, opt ReplayOptions) (sim.Result, error) {
-	if opt.VirtualNodes == 0 {
-		opt.VirtualNodes = h.vnodes
-	}
+// Replay replays a source concurrently — one router per client, through
+// engine.Replay — while a background pump exchanges summaries as they
+// appear. Nondeterministic like every concurrent replay; this is the
+// stress and benchmark mode.
+func (h *Harness) Replay(src trace.Source, opt engine.ReplayOptions) (sim.Result, error) {
 	stop := make(chan struct{})
 	pumped := make(chan struct{})
 	if h.coord != nil {
@@ -236,7 +234,7 @@ func (h *Harness) Replay(t *trace.Trace, opt ReplayOptions) (sim.Result, error) 
 	} else {
 		close(pumped)
 	}
-	res, err := Replay(h.nodes, t, opt)
+	res, err := engine.Replay(NewTarget(h.nodes), src, opt)
 	close(stop)
 	<-pumped
 	h.Exchange()

@@ -5,9 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/netclient"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -25,7 +23,7 @@ type Node struct {
 // fanning the sub-batches out concurrently and reassembling the per-request
 // results in submission order — callers see exactly the Do contract of a
 // single connection, just answered by N caches. Like netclient.Conn it is
-// not safe for concurrent use; the replay drivers give each goroutine its
+// not safe for concurrent use; a replay gives each client goroutine its
 // own Router.
 type Router struct {
 	ring  *Ring
@@ -310,96 +308,24 @@ func (rp *RouterPipeline) Drain() error {
 	return nil
 }
 
-// ReplayOptions tune the cluster replay drivers.
-type ReplayOptions struct {
-	// BatchSize is the request count per router batch; 0 selects adaptive
-	// sizing (netclient.BatchSizer: start small, grow toward
-	// wire.DefaultBatch while the per-request round-trip tail stays flat).
-	BatchSize int
-	// Depth is the in-flight batch window per node connection: 0 selects
-	// netclient.DefaultDepth, 1 is lock-step. Values above a node's
-	// advertised window are capped at that node's handshake.
-	Depth int
-	// Limit caps the total number of requests replayed; 0 replays the
-	// whole trace.
-	Limit int
-	// VirtualNodes is the ring density; 0 selects DefaultVirtualNodes.
-	VirtualNodes int
+// Announce extends every node's hint table with keys discovered after
+// Hello. The same keys go to every node in the same order, preserving the
+// invariant that announcement indices mean the same thing cluster-wide.
+// Frames are buffered and ride ahead of each node's next sub-batch.
+func (r *Router) Announce(keys []string) error {
+	for i, conn := range r.conns {
+		if err := conn.Announce(keys); err != nil {
+			return fmt.Errorf("cluster: announce to %s: %w", r.ring.Name(i), err)
+		}
+	}
+	return nil
 }
 
-func (o ReplayOptions) batch() int {
-	if o.BatchSize <= 0 {
-		return wire.DefaultBatch
+// Announced returns how many hint keys this router has announced (the same
+// count on every node: Hello and Announce always fan identical key lists).
+func (r *Router) Announced() int {
+	if len(r.conns) == 0 {
+		return 0
 	}
-	return o.BatchSize
-}
-
-func (o ReplayOptions) depth() int {
-	if o.Depth <= 0 {
-		return netclient.DefaultDepth
-	}
-	return o.Depth
-}
-
-// Replay replays an in-memory trace against a cluster with one concurrent
-// Router per trace client — netclient.Replay generalised from one server
-// to N. Per-client read accounting is exact; like every concurrent replay,
-// the aggregate hit count depends on how the clients' requests interleave
-// at the nodes.
-func Replay(nodes []Node, t *trace.Trace, opt ReplayOptions) (sim.Result, error) {
-	if opt.Limit > 0 {
-		t = t.Truncate(opt.Limit)
-	}
-	keys := t.Dict.Keys()
-	var (
-		mu        sync.Mutex
-		policy    string
-		capacity  int
-		haveLabel bool
-	)
-	res, err := engine.ServeStreams(t, func(c int, reqs []trace.Request, st *sim.ClientStat) error {
-		router, err := DialRouter(nodes, opt.VirtualNodes)
-		if err != nil {
-			return err
-		}
-		defer router.Close()
-		if err := router.Hello(t.Clients[c], keys); err != nil {
-			return err
-		}
-		mu.Lock()
-		if !haveLabel {
-			policy, capacity, haveLabel = router.PolicyName(), router.Capacity(), true
-		}
-		mu.Unlock()
-		sizer := netclient.NewBatchSizer(opt.BatchSize)
-		pl := router.Pipeline(opt.depth(), func(_ any, isRead, hits []bool, _ int, rttNs int64) error {
-			for i, rd := range isRead {
-				if rd {
-					st.Reads++
-					if hits[i] {
-						st.ReadHits++
-					}
-				}
-			}
-			sizer.Observe(rttNs, len(isRead))
-			return nil
-		})
-		for len(reqs) > 0 {
-			n := sizer.Current()
-			if n > len(reqs) {
-				n = len(reqs)
-			}
-			if err := pl.Submit(reqs[:n], nil); err != nil {
-				return err
-			}
-			reqs = reqs[n:]
-		}
-		return pl.Drain()
-	})
-	if err != nil {
-		return sim.Result{}, err
-	}
-	res.Policy = policy
-	res.CacheSize = capacity
-	return res, nil
+	return r.conns[0].Announced()
 }

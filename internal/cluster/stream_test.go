@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/hint"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -15,8 +16,8 @@ import (
 // TestClusterReplaySourceFile streams a v2 trace file through a cluster.
 // Small blocks force dictionary sections to arrive mid-stream, so the
 // routers must Announce new keys to every node ahead of the batches that
-// use them. Per-client read counts are exact; they must match the in-RAM
-// cluster.Replay of the same trace.
+// use them. Per-client read counts are exact; they must match the cluster
+// replay of the same trace from RAM.
 func TestClusterReplaySourceFile(t *testing.T) {
 	spec, err := workload.ParseSpec("DB2_C60*3:15000")
 	if err != nil {
@@ -52,7 +53,7 @@ func TestClusterReplaySourceFile(t *testing.T) {
 		Nodes: 2,
 		Cache: core.Config{Capacity: 2000, Window: 2000},
 	})
-	want, err := cluster.Replay(h.Nodes(), tr, cluster.ReplayOptions{})
+	want, err := engine.Replay(cluster.NewTarget(h.Nodes()), tr.Source(), engine.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestClusterReplaySourceFile(t *testing.T) {
 		Nodes: 2,
 		Cache: core.Config{Capacity: 2000, Window: 2000},
 	})
-	got, err := cluster.ReplaySource(h2.Nodes(), trace.FileSource(path), cluster.ReplayOptions{})
+	got, err := engine.Replay(cluster.NewTarget(h2.Nodes()), trace.FileSource(path), engine.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestClusterReplaySourceGenerator(t *testing.T) {
 		Nodes: 2,
 		Cache: core.Config{Capacity: 1500, Window: 1500},
 	})
-	res, err := cluster.ReplaySource(h.Nodes(), spec.Source(), cluster.ReplayOptions{})
+	res, err := engine.Replay(cluster.NewTarget(h.Nodes()), spec.Source(), engine.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

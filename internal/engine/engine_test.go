@@ -28,6 +28,16 @@ var testTrace = func() *trace.Trace {
 
 var testSizes = []int{500, 1000, 2000, 4000}
 
+// serve replays tr through the in-process target over front.
+func serve(t *testing.T, front *core.Sharded, tr *trace.Trace) sim.Result {
+	t.Helper()
+	res, err := Replay(InProcess{Front: front}, tr.Source(), ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestSweepMatchesSerial is the determinism golden test: the parallel
 // sweep's []sim.Result must be byte-identical (under a canonical encoding)
 // to the serial sim.Sweep output, for every policy and any worker count.
@@ -135,7 +145,7 @@ func TestServeClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := core.NewSharded(core.Config{Capacity: 2000, Window: 2000}, 4)
-	res := ServeClients(s, merged)
+	res := serve(t, s, merged)
 
 	if res.Requests != uint64(merged.Len()) {
 		t.Errorf("Requests = %d, want %d", res.Requests, merged.Len())
@@ -178,7 +188,7 @@ func TestServeClientsMoreClientsThanShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := core.NewSharded(core.Config{Capacity: 3000, Window: 3000}, 2)
-	res := ServeClients(s, merged)
+	res := serve(t, s, merged)
 
 	if len(res.PerClient) != 6 {
 		t.Fatalf("PerClient has %d entries, want 6", len(res.PerClient))
@@ -254,10 +264,10 @@ func TestPartitionedGoldenPreRefactor(t *testing.T) {
 	}
 }
 
-// TestServeClientsGlobalSingleClient: with one client, ServeClients is a
-// sequential replay, so the global and partitioned 1-shard fronts must
-// match the plain serial simulation exactly — the engine-path equivalence
-// test for the learner modes.
+// TestServeClientsGlobalSingleClient: with one client an in-process replay
+// is sequential, so the global and partitioned 1-shard fronts must match
+// the plain serial simulation exactly — the engine-path equivalence test
+// for the learner modes.
 func TestServeClientsGlobalSingleClient(t *testing.T) {
 	tr := testTrace.Truncate(15000)
 	cfg := core.Config{Capacity: 2000, Window: 2000}
@@ -265,9 +275,9 @@ func TestServeClientsGlobalSingleClient(t *testing.T) {
 	for _, mode := range []core.StatsMode{core.StatsPartitioned, core.StatsGlobal} {
 		mcfg := cfg
 		mcfg.Stats = mode
-		got := ServeClients(core.NewSharded(mcfg, 1), tr)
+		got := serve(t, core.NewSharded(mcfg, 1), tr)
 		if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
-			t.Errorf("%v: ServeClients %d/%d hits/reads, serial %d/%d",
+			t.Errorf("%v: replay %d/%d hits/reads, serial %d/%d",
 				mode, got.ReadHits, got.Reads, want.ReadHits, want.Reads)
 		}
 		if got.ReadHits == 0 {
@@ -293,7 +303,7 @@ func TestServeClientsGlobalMoreClientsThanShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := core.NewSharded(core.Config{Capacity: 3000, Window: 3000, Stats: core.StatsGlobal}, 2)
-	res := ServeClients(s, merged)
+	res := serve(t, s, merged)
 
 	if len(res.PerClient) != 6 {
 		t.Fatalf("PerClient has %d entries, want 6", len(res.PerClient))
@@ -331,22 +341,22 @@ func TestServeClientsGlobalMoreClientsThanShards(t *testing.T) {
 }
 
 // TestServeClientsOwnerSingleClient is the engine-layer equivalence golden
-// test for the single-owner engine: with one client, ServeClients is a
-// serial batch replay through one producer, which in partitioned-statistics
-// mode is bit-identical to the mutex engine's per-request replay — same
-// reads, same hits, same structural state.
+// test for the single-owner engine: with one client an in-process replay
+// is a serial batch replay through one producer, which in
+// partitioned-statistics mode is bit-identical to the mutex engine's
+// per-request replay — same reads, same hits, same structural state.
 func TestServeClientsOwnerSingleClient(t *testing.T) {
 	cfg := core.Config{Capacity: 3000, Window: 5000}
 	const shards = 4
 
 	mutex := core.NewSharded(cfg, shards)
-	want := ServeClients(mutex, testTrace)
+	want := serve(t, mutex, testTrace)
 
 	ocfg := cfg
 	ocfg.Engine = core.EngineOwner
 	owner := core.NewSharded(ocfg, shards)
 	defer owner.Close()
-	got := ServeClients(owner, testTrace)
+	got := serve(t, owner, testTrace)
 
 	if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
 		t.Errorf("owner %d/%d hits/reads, mutex %d/%d", got.ReadHits, got.Reads, want.ReadHits, want.Reads)
@@ -381,7 +391,7 @@ func TestServeClientsOwnerMoreClientsThanShards(t *testing.T) {
 	}
 	s := core.NewSharded(core.Config{Capacity: 3000, Window: 3000, Engine: core.EngineOwner}, 2)
 	defer s.Close()
-	res := ServeClients(s, merged)
+	res := serve(t, s, merged)
 
 	var reads, hits uint64
 	for c, st := range res.PerClient {
@@ -412,5 +422,36 @@ func TestServeClientsOwnerMoreClientsThanShards(t *testing.T) {
 	}
 	if st.Engine != "owner" {
 		t.Errorf("Stats.Engine = %q, want owner", st.Engine)
+	}
+}
+
+// TestServeSourceGenerator drives the cache straight from a live workload
+// generator — the trace never exists in RAM or on disk.
+func TestServeSourceGenerator(t *testing.T) {
+	spec, err := workload.ParseSpec("DB2_C60*3:18000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := core.NewSharded(core.Config{Capacity: 2000, Window: 2000}, 4)
+	res, err := Replay(InProcess{Front: s}, spec.Source(), ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != 18000 {
+		t.Errorf("Requests = %d, want 18000", res.Requests)
+	}
+	if len(res.PerClient) != 3 {
+		t.Fatalf("PerClient has %d entries, want 3", len(res.PerClient))
+	}
+	for c, st := range res.PerClient {
+		if st.Name != spec.ClientNames()[c] {
+			t.Errorf("client %d named %q, want %q", c, st.Name, spec.ClientNames()[c])
+		}
+		if st.Reads == 0 {
+			t.Errorf("client %d issued no reads", c)
+		}
+	}
+	if res.ReadHits == 0 {
+		t.Error("no hits; test is vacuous")
 	}
 }

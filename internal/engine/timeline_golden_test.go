@@ -72,12 +72,16 @@ func TestTimelineGolden(t *testing.T) {
 		Clock:         func() time.Duration { step++; return time.Duration(step) * time.Millisecond },
 		EveryRequests: 4096,
 		OnMark: func(total uint64) {
+			// Marks fire on the replay's client goroutine: report, don't Fatal.
 			if err := tl.Tick("interval"); err != nil {
-				t.Fatal(err)
+				t.Error(err)
 			}
 		},
 	}
-	res := ServeClientsMetrics(s, tr, m)
+	res, err := Replay(InProcess{Front: s, Metrics: m}, tr.Source(), ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tl.Tick("final"); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -99,5 +100,5 @@ func (e *Env) runCluster(t *trace.Trace, cfg core.Config, nodes int, merging boo
 		return sim.Result{}, err
 	}
 	defer h.Close()
-	return h.ReplaySerial(t, cluster.ReplayOptions{})
+	return h.ReplaySerial(t, engine.ReplayOptions{})
 }

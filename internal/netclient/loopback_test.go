@@ -1,6 +1,6 @@
 // Loopback integration tests: a real server and real clients in one
-// process, talking TCP over 127.0.0.1, checked against the in-process
-// engine.ServeClients path on the same trace and configuration.
+// process, talking TCP over 127.0.0.1, checked against engine.Replay's
+// in-process target on the same trace and configuration.
 package netclient_test
 
 import (
@@ -15,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/netclient"
 	"repro/internal/server"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -33,6 +34,17 @@ var testTrace = func() *trace.Trace {
 	return t
 }()
 
+// inProcess replays tr through engine.Replay's in-process target over
+// front: the reference the network paths are checked against.
+func inProcess(t *testing.T, front *core.Sharded, tr *trace.Trace) sim.Result {
+	t.Helper()
+	res, err := engine.Replay(engine.InProcess{Front: front}, tr.Source(), engine.ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func startServer(t *testing.T, cfg server.Config) *server.Server {
 	t.Helper()
 	srv := server.New(cfg)
@@ -46,16 +58,16 @@ func startServer(t *testing.T, cfg server.Config) *server.Server {
 // TestLoopbackGoldenSingleClient is the golden equivalence test: with a
 // single client both paths drive the cache with the same total request
 // order, so the networked replay's aggregate hit/miss counts must equal
-// engine.ServeClients exactly — same trace, same configuration, bit for
-// bit.
+// the in-process replay's exactly — same trace, same configuration, bit
+// for bit.
 func TestLoopbackGoldenSingleClient(t *testing.T) {
 	cfg := core.Config{Capacity: 3000, Window: 5000}
 	const shards = 4
 
-	want := engine.ServeClients(core.NewSharded(cfg, shards), testTrace)
+	want := inProcess(t, core.NewSharded(cfg, shards), testTrace)
 
 	srv := startServer(t, server.Config{Cache: cfg, Shards: shards})
-	got, err := netclient.Replay(srv.Addr().String(), testTrace, netclient.ReplayOptions{})
+	got, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), testTrace.Source(), engine.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +97,7 @@ func TestLoopbackGoldenSingleClient(t *testing.T) {
 
 // TestLoopbackMultiClient replays an interleaved three-client trace over
 // three concurrent connections. The interleaving at the server is
-// scheduler-dependent (exactly as in ServeClients), so only order-free
+// scheduler-dependent (exactly as in process), so only order-free
 // quantities are compared: per-client read counts, totals, and the
 // server-side accounting.
 func TestLoopbackMultiClient(t *testing.T) {
@@ -99,10 +111,10 @@ func TestLoopbackMultiClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{Capacity: 3000, Window: 5000}
-	want := engine.ServeClients(core.NewSharded(cfg, 4), merged)
+	want := inProcess(t, core.NewSharded(cfg, 4), merged)
 
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 4})
-	got, err := netclient.Replay(srv.Addr().String(), merged, netclient.ReplayOptions{BatchSize: 128})
+	got, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), merged.Source(), engine.ReplayOptions{BatchSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +166,14 @@ func TestLoopbackReplayFileBinary(t *testing.T) {
 	cfg := core.Config{Capacity: 2000, Window: 4000}
 
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 4})
-	got, err := netclient.ReplayFile(srv.Addr().String(), path, netclient.ReplayOptions{BatchSize: 256})
+	got, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), trace.FileSource(path), engine.ReplayOptions{BatchSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Single client: the file replay is sequential, so it must match the
 	// in-memory sequential replay exactly.
-	want := engine.ServeClients(core.NewSharded(cfg, 4), tr)
+	want := inProcess(t, core.NewSharded(cfg, 4), tr)
 	if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
 		t.Errorf("file replay %d/%d, in-memory %d/%d", got.ReadHits, got.Reads, want.ReadHits, want.Reads)
 	}
@@ -191,11 +203,11 @@ func TestLoopbackReplayFileText(t *testing.T) {
 	cfg := core.Config{Capacity: 1500, Window: 2000}
 
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 4})
-	got, err := netclient.ReplayFile(srv.Addr().String(), path, netclient.ReplayOptions{BatchSize: 64})
+	got, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), trace.FileSource(path), engine.ReplayOptions{BatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := engine.ServeClients(core.NewSharded(cfg, 4), tr)
+	want := inProcess(t, core.NewSharded(cfg, 4), tr)
 	if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
 		t.Errorf("text replay %d/%d, in-memory %d/%d", got.ReadHits, got.Reads, want.ReadHits, want.Reads)
 	}
@@ -207,7 +219,7 @@ func TestLoopbackReplayFileText(t *testing.T) {
 // TestLoopbackLimit checks ReplayOptions.Limit.
 func TestLoopbackLimit(t *testing.T) {
 	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 500, Window: 1000}, Shards: 2})
-	got, err := netclient.Replay(srv.Addr().String(), testTrace, netclient.ReplayOptions{Limit: 2500})
+	got, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), testTrace.Source(), engine.ReplayOptions{Limit: 2500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +238,7 @@ func TestAdminStats(t *testing.T) {
 	if err := srv.ListenAdmin("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := netclient.Replay(srv.Addr().String(), testTrace.Truncate(8000), netclient.ReplayOptions{}); err != nil {
+	if _, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), testTrace.Truncate(8000).Source(), engine.ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get("http://" + srv.AdminAddr().String() + "/stats?top=5")
@@ -313,8 +325,8 @@ func TestHelloVersionMismatch(t *testing.T) {
 // connections against two shards, so connection handlers contend for shard
 // mutexes and learner stripes at once — the TCP-path stress test for
 // global learning (run under -race in CI). Order-free quantities are
-// checked against the in-process ServeClients path, and the admin snapshot
-// must report the mode.
+// checked against the in-process replay, and the admin snapshot must
+// report the mode.
 func TestLoopbackGlobalLearner(t *testing.T) {
 	parts := make([]*trace.Trace, 3)
 	for i := range parts {
@@ -326,13 +338,13 @@ func TestLoopbackGlobalLearner(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{Capacity: 3000, Window: 5000, Stats: core.StatsGlobal}
-	want := engine.ServeClients(core.NewSharded(cfg, 2), merged)
+	want := inProcess(t, core.NewSharded(cfg, 2), merged)
 
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 2})
 	if err := srv.ListenAdmin("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := netclient.Replay(srv.Addr().String(), merged, netclient.ReplayOptions{BatchSize: 128})
+	got, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), merged.Source(), engine.ReplayOptions{BatchSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,10 +395,10 @@ func TestLoopbackGlobalLearner(t *testing.T) {
 func TestLoopbackGoldenGlobalSingleShard(t *testing.T) {
 	tr := testTrace.Truncate(12000)
 	cfg := core.Config{Capacity: 2000, Window: 4000, Stats: core.StatsGlobal}
-	want := engine.ServeClients(core.NewSharded(cfg, 1), tr)
+	want := inProcess(t, core.NewSharded(cfg, 1), tr)
 
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 1})
-	got, err := netclient.Replay(srv.Addr().String(), tr, netclient.ReplayOptions{})
+	got, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), tr.Source(), engine.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +420,7 @@ func TestLoopbackOwnerGolden(t *testing.T) {
 	const shards = 4
 
 	mutexSrv := startServer(t, server.Config{Cache: cfg, Shards: shards})
-	want, err := netclient.Replay(mutexSrv.Addr().String(), testTrace, netclient.ReplayOptions{})
+	want, err := engine.Replay(netclient.NewTarget(mutexSrv.Addr().String()), testTrace.Source(), engine.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +428,7 @@ func TestLoopbackOwnerGolden(t *testing.T) {
 	ocfg := cfg
 	ocfg.Engine = core.EngineOwner
 	ownerSrv := startServer(t, server.Config{Cache: ocfg, Shards: shards})
-	got, err := netclient.Replay(ownerSrv.Addr().String(), testTrace, netclient.ReplayOptions{})
+	got, err := engine.Replay(netclient.NewTarget(ownerSrv.Addr().String()), testTrace.Source(), engine.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +466,7 @@ func TestLoopbackOwnerMultiClient(t *testing.T) {
 	}
 	cfg := core.Config{Capacity: 3000, Window: 5000, Engine: core.EngineOwner}
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 2})
-	res, err := netclient.Replay(srv.Addr().String(), merged, netclient.ReplayOptions{})
+	res, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), merged.Source(), engine.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

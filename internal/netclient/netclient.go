@@ -1,16 +1,12 @@
 // Package netclient is the client side of the wire protocol: a thin
 // connection type (Dial/Hello/Announce/Do) for programs that want to talk
-// to a cache server directly, plus trace replay drivers that mirror
-// engine.ServeClients over the network — one connection and one goroutine
-// per trace client, each streaming its own request subsequence and
-// counting hits from the server's responses.
-//
-// Replay takes an in-memory trace; ReplayFile streams one from disk via
-// trace.Scanner and ReplaySource streams from any trace.Source (file,
-// in-memory trace, or live workload generator), so arbitrarily long
-// streams replay in constant memory. All return a sim.Result shaped
-// exactly like engine.ServeClients' so the loopback and in-process paths
-// are directly comparable.
+// to a cache server directly, a Pipeline that keeps several batches in
+// flight on one connection, and Target, which lets engine.Replay drive a
+// server over the network — one pipelined connection per trace client,
+// counting hits from the server's responses. Replays take any
+// trace.Source (file, in-memory trace, or live workload generator), so
+// arbitrarily long streams replay in constant memory, and their results
+// are shaped exactly like the in-process target's.
 package netclient
 
 import (
@@ -18,14 +14,10 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/hint"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -53,7 +45,7 @@ func RegisterMetrics(r *metrics.Registry) {
 }
 
 // Conn is one client connection to a cache server. Not safe for concurrent
-// use; the replay drivers give each goroutine its own Conn.
+// use; a replay gives each client goroutine its own Conn.
 type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
@@ -138,8 +130,8 @@ func (c *Conn) Ack() wire.HelloAck { return c.ack }
 func (c *Conn) Version() int { return c.version }
 
 // Probe dials addr and completes a throwaway handshake, verifying that a
-// compatible cache server is listening there. Replay drivers use it to
-// validate addresses up front instead of failing confusingly mid-replay.
+// compatible cache server is listening there, so a replay can validate
+// its addresses up front instead of failing confusingly mid-replay.
 func Probe(addr string) error {
 	conn, err := Dial(addr)
 	if err != nil {
@@ -382,10 +374,10 @@ func (p *Pipeline) Drain() error {
 	return nil
 }
 
-// DefaultDepth is the in-flight batch window replay drivers use when
-// ReplayOptions.Depth is zero: deep enough to hide a loopback round trip
-// behind the server's service time, shallow enough that per-connection
-// buffering stays small.
+// DefaultDepth is the in-flight batch window a replay uses when
+// engine.ReplayOptions.Depth is zero: deep enough to hide a loopback
+// round trip behind the server's service time, shallow enough that
+// per-connection buffering stays small.
 const DefaultDepth = 8
 
 // adaptiveStartBatch is where adaptive batch sizing begins; it doubles
@@ -405,7 +397,7 @@ const adaptiveSlack = 1.25
 // after every growth, so the pipeline-fill transient (early batches see
 // no queueing and would make every steady-state window look degraded)
 // and the first batches at a new size never enter the comparison. The
-// replay drivers here and in internal/cluster feed it from their result
+// replay targets here and in internal/cluster feed it from their result
 // handlers; an explicit fixed size pins it and disables adaptation. Not
 // safe for concurrent use.
 type BatchSizer struct {
@@ -465,36 +457,6 @@ func (s *BatchSizer) Observe(rttNs int64, n int) {
 	}
 }
 
-// ReplayOptions tune the replay drivers.
-type ReplayOptions struct {
-	// BatchSize is the request count per Batch frame; 0 selects adaptive
-	// sizing (start at adaptiveStartBatch, grow toward wire.DefaultBatch
-	// while the per-request round-trip tail stays flat).
-	BatchSize int
-	// Depth is the in-flight batch window per connection: 0 selects
-	// DefaultDepth, 1 is lock-step (one round trip per batch, the v2
-	// behaviour). Values above the server's advertised window are capped
-	// at the handshake.
-	Depth int
-	// Limit caps the total number of requests replayed; 0 replays the
-	// whole trace.
-	Limit int
-}
-
-func (o ReplayOptions) batch() int {
-	if o.BatchSize <= 0 {
-		return wire.DefaultBatch
-	}
-	return o.BatchSize
-}
-
-func (o ReplayOptions) depth() int {
-	if o.Depth <= 0 {
-		return DefaultDepth
-	}
-	return o.Depth
-}
-
 // policyName mirrors core.Sharded.Name from the handshake, so loopback
 // results label themselves like the in-process path.
 func policyName(ack wire.HelloAck) string {
@@ -504,302 +466,74 @@ func policyName(ack wire.HelloAck) string {
 	return fmt.Sprintf("CLIC/%d", ack.Shards)
 }
 
-// runClient replays one client's request stream over one pipelined
-// connection, counting read hits from the responses.
-func runClient(addr, name string, keys []string, reqs []trace.Request, opt ReplayOptions, st *sim.ClientStat) (wire.HelloAck, error) {
-	conn, err := Dial(addr)
+// Target is a cache server as an engine.Target: engine.Replay gives each
+// client its own pipelined connection, with adaptive batch sizing unless
+// ReplayOptions.BatchSize pins it.
+type Target struct {
+	addr string
+	ack  wire.HelloAck // the first handshake's answer, for Label
+}
+
+// NewTarget returns the server at addr as a replay target.
+func NewTarget(addr string) *Target { return &Target{addr: addr} }
+
+// Open implements engine.Target: dial, handshake, and start a pipeline.
+func (t *Target) Open(client string, keys []string, opt engine.ReplayOptions, tally func(isRead, hits []bool)) (engine.Session, error) {
+	conn, err := t.dial(client, keys)
 	if err != nil {
-		return wire.HelloAck{}, err
+		return nil, err
 	}
-	defer conn.Close()
-	ack, err := conn.Hello(name, keys)
-	if err != nil {
-		return wire.HelloAck{}, err
+	depth := opt.Depth
+	if depth <= 0 {
+		depth = DefaultDepth
 	}
-	sizer := NewBatchSizer(opt.BatchSize)
-	pl := conn.Pipeline(opt.depth(), func(_ any, isRead []bool, res wire.Results, rttNs int64) error {
-		for i, rd := range isRead {
-			if rd {
-				st.Reads++
-				if res.Hits[i] {
-					st.ReadHits++
-				}
-			}
-		}
-		sizer.Observe(rttNs, len(isRead))
+	s := &session{conn: conn, sizer: NewBatchSizer(opt.BatchSize)}
+	s.pl = conn.Pipeline(depth, func(_ any, isRead []bool, res wire.Results, rttNs int64) error {
+		s.sizer.Observe(rttNs, len(isRead))
+		tally(isRead, res.Hits)
 		return nil
 	})
-	for len(reqs) > 0 {
-		n := sizer.Current()
-		if n > len(reqs) {
-			n = len(reqs)
-		}
-		if err := pl.Submit(reqs[:n], nil); err != nil {
-			return ack, err
-		}
-		reqs = reqs[n:]
-	}
-	return ack, pl.Drain()
+	return s, nil
 }
 
-// Replay replays an in-memory trace against the server at addr with one
-// concurrent connection per trace client, engine.ServeClients over the
-// wire. Like ServeClients, per-client read counts are exact while the
-// aggregate hit count depends on how the clients' requests interleave at
-// the server.
-func Replay(addr string, t *trace.Trace, opt ReplayOptions) (sim.Result, error) {
-	if opt.Limit > 0 {
-		t = t.Truncate(opt.Limit)
-	}
-	keys := t.Dict.Keys()
-	var (
-		mu  sync.Mutex
-		ack wire.HelloAck
-	)
-	res, err := engine.ServeStreams(t, func(c int, reqs []trace.Request, st *sim.ClientStat) error {
-		a, err := runClient(addr, t.Clients[c], keys, reqs, opt, st)
-		if a != (wire.HelloAck{}) {
-			mu.Lock()
-			ack = a
-			mu.Unlock()
+// Label implements engine.Target from the first session's handshake, or
+// from a throwaway one when the replay opened no session.
+func (t *Target) Label() (string, int, error) {
+	if t.ack.Version == 0 {
+		conn, err := t.dial("probe", nil)
+		if err != nil {
+			return "", 0, err
 		}
-		return err
-	})
+		conn.Close()
+	}
+	return policyName(t.ack), t.ack.Capacity, nil
+}
+
+func (t *Target) dial(client string, keys []string) (*Conn, error) {
+	conn, err := Dial(t.addr)
 	if err != nil {
-		return sim.Result{}, err
+		return nil, err
 	}
-	res.Policy = policyName(ack)
-	res.CacheSize = ack.Capacity
-	return res, nil
-}
-
-// keyLog is the append-only list of hint keys discovered by a streaming
-// scan, shared between the dispatcher (writer) and the per-client senders
-// (readers catching their connections up before each batch).
-type keyLog struct {
-	mu   sync.Mutex
-	keys []string
-}
-
-func (l *keyLog) grow(d *hint.Dict) {
-	l.mu.Lock()
-	for id := len(l.keys); id < d.Len(); id++ {
-		l.keys = append(l.keys, d.Key(hint.ID(id)))
-	}
-	l.mu.Unlock()
-}
-
-// since returns a copy of the keys appended at or after index from.
-func (l *keyLog) since(from int) []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if from >= len(l.keys) {
-		return nil
-	}
-	out := make([]string, len(l.keys)-from)
-	copy(out, l.keys[from:])
-	return out
-}
-
-// ReplayFile replays a trace file against the server at addr, streaming
-// requests via trace.Scanner so memory stays constant regardless of trace
-// length.
-func ReplayFile(addr, path string, opt ReplayOptions) (sim.Result, error) {
-	return ReplaySource(addr, trace.FileSource(path), opt)
-}
-
-// ReplaySource replays any request source — a trace file, an in-memory
-// trace, or a live generator spec — against the server at addr, never
-// materialising the stream.
-func ReplaySource(addr string, src trace.Source, opt ReplayOptions) (sim.Result, error) {
-	it, err := src.Iter()
+	ack, err := conn.Hello(client, keys)
 	if err != nil {
-		return sim.Result{}, err
+		conn.Close()
+		return nil, err
 	}
-	defer it.Close()
-	return ReplayIterator(addr, it, opt)
+	if t.ack.Version == 0 {
+		t.ack = ack
+	}
+	return conn, nil
 }
 
-// ReplayIterator replays a request iterator against the server at addr with
-// one connection and one goroutine per discovered client. Clients and hint
-// sets may be discovered as the iteration proceeds (text traces, v2 dict
-// sections, generated streams); newly seen hint keys are announced to the
-// server ahead of the first batch that references them.
-func ReplayIterator(addr string, sc trace.Iterator, opt ReplayOptions) (sim.Result, error) {
-	// Batch buffers cycle between the dispatcher and each worker: the
-	// dispatcher fills one from the scan, hands it over on ch, and the
-	// worker returns it on free once the batch is encoded onto the wire
-	// (the pipeline does not retain request payloads). After a few batches
-	// per client the replay reuses the same handful of buffers — the
-	// steady-state dispatch path allocates nothing.
-	type worker struct {
-		ch      chan []trace.Request
-		free    chan []trace.Request
-		pending []trace.Request
-		st      *sim.ClientStat
-		// size is the worker's current adaptive batch size, read by the
-		// dispatcher to decide batch boundaries and stored by the worker's
-		// result handler as its sizer grows.
-		size atomic.Int64
-	}
-	var (
-		log     keyLog
-		workers []*worker
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		first   error
-		ack     wire.HelloAck
-		stats   []*sim.ClientStat
-		total   uint64
-		dictLen int
-	)
-	log.grow(sc.HintDict())
-	dictLen = sc.HintDict().Len()
-	fail := func(err error) {
-		mu.Lock()
-		if first == nil {
-			first = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return first != nil
-	}
-	spawn := func(name string) *worker {
-		w := &worker{
-			ch:   make(chan []trace.Request, 4),
-			free: make(chan []trace.Request, 8),
-			st:   &sim.ClientStat{Name: name},
-		}
-		sizer := NewBatchSizer(opt.BatchSize)
-		w.size.Store(int64(sizer.Current()))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var pl *Pipeline
-			conn, err := Dial(addr)
-			if err != nil {
-				fail(err)
-			} else {
-				defer conn.Close()
-				a, err := conn.Hello(name, log.since(0))
-				if err != nil {
-					fail(err)
-					conn = nil
-				} else {
-					mu.Lock()
-					ack = a
-					mu.Unlock()
-					pl = conn.Pipeline(opt.depth(), func(_ any, isRead []bool, res wire.Results, rttNs int64) error {
-						for i, rd := range isRead {
-							if rd {
-								w.st.Reads++
-								if res.Hits[i] {
-									w.st.ReadHits++
-								}
-							}
-						}
-						sizer.Observe(rttNs, len(isRead))
-						w.size.Store(int64(sizer.Current()))
-						return nil
-					})
-				}
-			}
-			send := func(reqs []trace.Request) error {
-				if fresh := log.since(conn.Announced()); len(fresh) > 0 {
-					if err := conn.Announce(fresh); err != nil {
-						return err
-					}
-				}
-				return pl.Submit(reqs, nil)
-			}
-			for reqs := range w.ch {
-				// On failure keep draining so the dispatcher never blocks.
-				if conn != nil && !failed() {
-					if err := send(reqs); err != nil {
-						fail(err)
-					}
-				}
-				select {
-				case w.free <- reqs[:0]:
-				default:
-				}
-			}
-			if pl != nil && !failed() {
-				if err := pl.Drain(); err != nil {
-					fail(err)
-				}
-			}
-		}()
-		return w
-	}
-
-	for sc.Scan() {
-		if opt.Limit > 0 && total >= uint64(opt.Limit) {
-			break
-		}
-		if failed() {
-			break
-		}
-		r := sc.Request()
-		// Streaming inputs (text traces, v2 dict sections, generator
-		// pipes) grow the dictionary mid-stream; checking the length
-		// (dictionary mutation happens on this goroutine only) keeps the
-		// keyLog mutex off the per-request path.
-		if n := sc.HintDict().Len(); n != dictLen {
-			log.grow(sc.HintDict())
-			dictLen = n
-		}
-		c := int(r.Client)
-		for c >= len(workers) {
-			names := sc.Clients()
-			name := fmt.Sprintf("client%d", len(workers))
-			if len(workers) < len(names) {
-				name = names[len(workers)]
-			}
-			w := spawn(name)
-			workers = append(workers, w)
-			stats = append(stats, w.st)
-		}
-		w := workers[c]
-		w.pending = append(w.pending, r)
-		if len(w.pending) >= int(w.size.Load()) {
-			w.ch <- w.pending
-			select {
-			case w.pending = <-w.free:
-			default:
-				w.pending = nil
-			}
-		}
-		total++
-	}
-	for _, w := range workers {
-		if len(w.pending) > 0 {
-			w.ch <- w.pending
-		}
-		close(w.ch)
-	}
-	wg.Wait()
-	if err := sc.Err(); err != nil {
-		return sim.Result{}, err
-	}
-	if first != nil {
-		return sim.Result{}, first
-	}
-
-	res := sim.Result{
-		Trace:     sc.Name(),
-		Policy:    policyName(ack),
-		CacheSize: ack.Capacity,
-		Requests:  total,
-		PerClient: make([]sim.ClientStat, len(stats)),
-	}
-	for i, st := range stats {
-		res.PerClient[i] = *st
-		res.Reads += st.Reads
-		res.ReadHits += st.ReadHits
-	}
-	return res, nil
+// session is one client's pipelined connection.
+type session struct {
+	conn  *Conn
+	pl    *Pipeline
+	sizer *BatchSizer
 }
+
+func (s *session) Announce(keys []string) error      { return s.conn.Announce(keys) }
+func (s *session) Submit(reqs []trace.Request) error { return s.pl.Submit(reqs, nil) }
+func (s *session) Drain() error                      { return s.pl.Drain() }
+func (s *session) Close() error                      { return s.conn.Close() }
+func (s *session) BatchSize() int                    { return s.sizer.Current() }

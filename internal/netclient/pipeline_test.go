@@ -22,17 +22,17 @@ import (
 
 // TestPipelineDepthEquivalence is the golden test for pipelining: a
 // single-client replay produces exactly the same reads and hits at any
-// in-flight depth, and exactly matches engine.ServeClients — depth
+// in-flight depth, and exactly matches the in-process replay — depth
 // changes when results arrive, never what the server computes.
 func TestPipelineDepthEquivalence(t *testing.T) {
 	cfg := core.Config{Capacity: 3000, Window: 5000}
 	const shards = 4
-	want := engine.ServeClients(core.NewSharded(cfg, shards), testTrace)
+	want := inProcess(t, core.NewSharded(cfg, shards), testTrace)
 
 	for _, depth := range []int{1, 4, 32} {
 		srv := startServer(t, server.Config{Cache: cfg, Shards: shards})
-		got, err := netclient.Replay(srv.Addr().String(), testTrace,
-			netclient.ReplayOptions{Depth: depth, BatchSize: 256})
+		got, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), testTrace.Source(),
+			engine.ReplayOptions{Depth: depth, BatchSize: 256})
 		if err != nil {
 			t.Fatalf("depth %d: %v", depth, err)
 		}
@@ -59,15 +59,15 @@ func TestPipelineOwnerDepthEquivalence(t *testing.T) {
 	const shards = 4
 
 	srv1 := startServer(t, server.Config{Cache: cfg, Shards: shards})
-	want, err := netclient.Replay(srv1.Addr().String(), testTrace,
-		netclient.ReplayOptions{Depth: 1, BatchSize: 256})
+	want, err := engine.Replay(netclient.NewTarget(srv1.Addr().String()), testTrace.Source(),
+		engine.ReplayOptions{Depth: 1, BatchSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, depth := range []int{4, 32} {
 		srv := startServer(t, server.Config{Cache: cfg, Shards: shards})
-		got, err := netclient.Replay(srv.Addr().String(), testTrace,
-			netclient.ReplayOptions{Depth: depth, BatchSize: 256})
+		got, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), testTrace.Source(),
+			engine.ReplayOptions{Depth: depth, BatchSize: 256})
 		if err != nil {
 			t.Fatalf("depth %d: %v", depth, err)
 		}

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/netclient"
 	"repro/internal/server"
 	"repro/internal/trace"
@@ -99,7 +100,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		Shards: shards,
 	})
 	tr := testTrace.Truncate(16000)
-	res, err := netclient.Replay(srv.Addr().String(), tr, netclient.ReplayOptions{})
+	res, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), tr.Source(), engine.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // pinned sets here, deliberately.
 func TestSnapshotSchema(t *testing.T) {
 	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 1000, Window: 2000}, Shards: 2})
-	if _, err := netclient.Replay(srv.Addr().String(), testTrace.Truncate(6000), netclient.ReplayOptions{}); err != nil {
+	if _, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), testTrace.Truncate(6000).Source(), engine.ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get("http://" + srv.AdminAddr().String() + "/stats?top=5")
@@ -312,7 +313,7 @@ func TestServerTimeline(t *testing.T) {
 	var buf lockedBuffer
 	stop := srv.StartTimeline(&buf, 5*time.Millisecond)
 	tr := testTrace.Truncate(16000)
-	if _, err := netclient.Replay(srv.Addr().String(), tr, netclient.ReplayOptions{BatchSize: 64}); err != nil {
+	if _, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), tr.Source(), engine.ReplayOptions{BatchSize: 64}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(15 * time.Millisecond) // let at least one interval elapse

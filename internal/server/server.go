@@ -7,10 +7,10 @@
 // One connection is one client. The handshake interns the client's hint
 // vocabulary into the server-wide dictionary once, so the per-request hot
 // path is a table lookup plus a core.Sharded access — connections touching
-// different shards proceed in parallel, exactly like engine.ServeClients'
-// in-process goroutines. Per-client read accounting matches ServeClients'
-// sim.ClientStat bookkeeping so loopback replays are comparable to the
-// in-process path.
+// different shards proceed in parallel, exactly like the client goroutines
+// of an in-process engine.Replay. Per-client read accounting matches that
+// replay's sim.ClientStat bookkeeping, so loopback replays are comparable
+// to the in-process path.
 //
 // A second, optional HTTP listener is the observability surface: live
 // stats as JSON at /stats (front aggregate, per-shard breakdown, per-client

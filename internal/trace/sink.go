@@ -69,9 +69,9 @@ func (l *limitSink) AppendReq(r Request) {
 // Iterator is the streaming counterpart of a []Request: the minimal
 // interface every request source implements — disk scans (*Scanner),
 // in-memory traces (Trace.Iter), and live generators (*PipeReader). The
-// replay paths (engine.ServeSource, netclient.ReplaySource,
-// cluster.ReplaySource) consume Iterators so they never need the full
-// trace in RAM.
+// one replay driver (engine.Replay, in process, over loopback TCP or
+// through a cluster router) consumes Iterators so it never needs the
+// full trace in RAM.
 //
 // The hint dictionary and client list may grow as the iteration proceeds
 // (text traces, generated streams); by the time Scan has returned a

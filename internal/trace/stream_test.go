@@ -150,24 +150,3 @@ func TestScannerTruncatedBinary(t *testing.T) {
 		t.Error("truncated stream scanned cleanly")
 	}
 }
-
-// TestSplitClients checks the per-client partition helper.
-func TestSplitClients(t *testing.T) {
-	tr := streamTestTrace()
-	streams := tr.SplitClients()
-	if len(streams) != 2 {
-		t.Fatalf("got %d streams, want 2", len(streams))
-	}
-	total := 0
-	for c, reqs := range streams {
-		total += len(reqs)
-		for i, r := range reqs {
-			if int(r.Client) != c {
-				t.Errorf("stream %d request %d has client %d", c, i, r.Client)
-			}
-		}
-	}
-	if total != tr.Len() {
-		t.Errorf("streams cover %d requests, want %d", total, tr.Len())
-	}
-}

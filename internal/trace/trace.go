@@ -203,19 +203,6 @@ func Interleave(name string, traces ...*Trace) (*Trace, error) {
 	return out, nil
 }
 
-// SplitClients partitions the request sequence into per-client streams,
-// indexed by client ID and preserving each client's request order. It is
-// the inverse of Interleave's merging and is what concurrent serving
-// (engine.ServeClients, the network replay client) feeds its per-client
-// goroutines.
-func (t *Trace) SplitClients() [][]Request {
-	streams := make([][]Request, len(t.Clients))
-	for _, r := range t.Reqs {
-		streams[r.Client] = append(streams[r.Client], r)
-	}
-	return streams
-}
-
 // Truncate returns a shallow copy of the trace limited to the first n
 // requests (or the whole trace if n exceeds its length).
 func (t *Trace) Truncate(n int) *Trace {

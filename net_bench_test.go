@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/netclient"
 	"repro/internal/server"
@@ -19,7 +20,7 @@ import (
 // benchNetReplay runs the standard serving workload through TCP loopback
 // with the given replay options and reports throughput, hit ratio, and
 // batch-RTT p50/p99 (microseconds) over just this benchmark's batches.
-func benchNetReplay(b *testing.B, t *trace.Trace, opt netclient.ReplayOptions) {
+func benchNetReplay(b *testing.B, t *trace.Trace, opt engine.ReplayOptions) {
 	cfg := serveBenchConfig()
 	cfg.Engine = core.EngineOwner
 	var before, after metrics.HistSnapshot
@@ -33,7 +34,7 @@ func benchNetReplay(b *testing.B, t *trace.Trace, opt netclient.ReplayOptions) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		r, err := netclient.Replay(srv.Addr().String(), t, opt)
+		r, err := engine.Replay(netclient.NewTarget(srv.Addr().String()), t.Source(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,12 +57,12 @@ func benchNetReplay(b *testing.B, t *trace.Trace, opt netclient.ReplayOptions) {
 // client stalled for a full round trip per batch, fixed 512-request
 // batches (the sweet spot, so the comparison isolates pipelining).
 func BenchmarkNetDepth1(b *testing.B) {
-	benchNetReplay(b, serveBenchTrace(b), netclient.ReplayOptions{Depth: 1, BatchSize: 512})
+	benchNetReplay(b, serveBenchTrace(b), engine.ReplayOptions{Depth: 1, BatchSize: 512})
 }
 
 // BenchmarkNetPipelined is the saturating configuration: the default
 // in-flight window with adaptive batch sizing, coalesced writes on both
 // sides. The ratio over BenchmarkNetDepth1 is the pipelining win.
 func BenchmarkNetPipelined(b *testing.B) {
-	benchNetReplay(b, serveBenchTrace(b), netclient.ReplayOptions{})
+	benchNetReplay(b, serveBenchTrace(b), engine.ReplayOptions{})
 }

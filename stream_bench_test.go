@@ -11,6 +11,7 @@ package repro_test
 import (
 	"bytes"
 	"io"
+	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -210,22 +211,24 @@ func BenchmarkGenPipeline(b *testing.B) {
 	b.ReportMetric(float64(written)*float64(b.N)/b.Elapsed().Seconds(), "bytes/s")
 }
 
-// BenchmarkServeIterator is the streaming twin of BenchmarkServeClients —
-// the same interleaved trace and sharded front, but dispatched from an
-// iterator through recycled batch buffers instead of pre-split slices.
-// The acceptance bar: within a few percent of BenchmarkServeClients.
+// BenchmarkServeIterator is BenchmarkServeClients streamed from disk: the
+// same interleaved trace and sharded front, replayed from a v2 trace file,
+// so the scan, the dispatch to client goroutines and the serving all run
+// at once. The delta against BenchmarkServeClients prices the v2 scan.
 func BenchmarkServeIterator(b *testing.B) {
 	t := serveBenchTrace(b)
+	path := filepath.Join(b.TempDir(), "serve.trc")
+	if err := trace.SaveV2(path, t); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	var res sim.Result
 	for i := 0; i < b.N; i++ {
 		front := core.NewSharded(serveBenchConfig(), serveBenchShards)
-		it := t.Iter()
-		r, err := engine.ServeIterator(front, it, 0)
+		r, err := engine.Replay(engine.InProcess{Front: front}, trace.FileSource(path), engine.ReplayOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		it.Close()
 		res = r
 	}
 	reportServeMetrics(b, t, res)
